@@ -24,10 +24,10 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .automata import CapError, CcError, Dfa, builtin_language
+from .automata import CcError, Dfa, builtin_language
 from .monoid import (
-    FiniteMonoid, OrderedMonoid, commutative_quotient, divides, eval_word,
-    exponent, find_tq, maximal_subgroups, syntactic_ordered_monoid,
+    FiniteMonoid, OrderedMonoid, commutative_quotient, divides, division_map,
+    eval_word, exponent, find_tq, maximal_subgroups, syntactic_ordered_monoid,
     transition_monoid,
 )
 
@@ -165,7 +165,8 @@ def find_shuffle_witness(om: OrderedMonoid, max_len: int = DEFAULT_WITNESS_LEN):
                 x = m.mul(m.mul(eu, eval_word(m, v)), eu)
                 if not om.leq(x, eu):
                     witness = (u, w1, w2, v)
-                    assert _replay_shuffle(om, *witness)
+                    if not _replay_shuffle(om, *witness):
+                        raise CcError("shuffle witness %r fails its replay" % (witness,))
                     return witness
     return None
 
@@ -206,7 +207,8 @@ def find_polcom_exclusion_witness(om: OrderedMonoid,
                 continue
             x = m.mul(m.mul(uw, eval_word(m, v)), uw)
             if not om.leq(x, uw):
-                assert _replay_polcom(om, u, v)
+                if not _replay_polcom(om, u, v):
+                    raise CcError("polcom witness %r fails its replay" % ((u, v),))
                 return u, v
     return None
 
@@ -224,9 +226,9 @@ def _replay_polcom(om, u, v):
 # ---------------------------------------------------------------------------
 # classification
 
-def _resolve(obj, monoid_cap):
+def _resolve(obj):
     if isinstance(obj, Dfa):
-        om, _, ideal = syntactic_ordered_monoid(obj, cap=monoid_cap)
+        om, _, ideal = syntactic_ordered_monoid(obj)
         return om, ideal
     if isinstance(obj, OrderedMonoid):
         return obj, None
@@ -247,10 +249,10 @@ def _noncommuting_pair(om: OrderedMonoid):
 
 LINEAR_KINDS = ("tq", "nonabelian_subgroup", "divides_ba2_plus",
                 "divides_u_plus", "shuffle")
+_DIVISORS = {"divides_ba2_plus": "BA2_PLUS", "divides_u_plus": "U_PLUS"}
 
 
-def classify_nondet(obj, max_witness_len: int = DEFAULT_WITNESS_LEN,
-                    monoid_cap: int = 5000) -> Classification:
+def classify_nondet(obj, max_witness_len: int = DEFAULT_WITNESS_LEN) -> Classification:
     """Classify a language or ordered monoid, attempting every certificate.
 
     The certificate order is fixed: T_q orbit, non-abelian maximal
@@ -258,10 +260,9 @@ def classify_nondet(obj, max_witness_len: int = DEFAULT_WITNESS_LEN,
     witness, then the polynomial-closure exclusion witness (reported as
     evidence only, never as a proven linear bound).
     """
-    om, _ideal = _resolve(obj, monoid_cap)
+    om, _ideal = _resolve(obj)
     m = om.monoid
-    bounds = {"max_witness_len": max_witness_len, "divides_cap": 12,
-              "skipped": ()}
+    bounds = {"max_witness_len": max_witness_len}
     certificates = []
 
     pair = _noncommuting_pair(om)
@@ -296,22 +297,15 @@ def classify_nondet(obj, max_witness_len: int = DEFAULT_WITNESS_LEN,
         certificates.append(Certificate.make(
             "nonabelian_subgroup", e=m.names[e], g1=m.names[g1], g2=m.names[g2]))
 
-    skipped = []
-    for kind, divisor_name in (("divides_ba2_plus", "BA2_PLUS"),
-                               ("divides_u_plus", "U_PLUS")):
+    for kind, divisor_name in _DIVISORS.items():
         divisor, _ = builtin_monoid(divisor_name)
-        try:
-            ok, cert = divides(divisor, om)
-        except CapError:
-            skipped.append(kind)
-            continue
+        ok, cert = divides(divisor, om)
         if ok:
-            gens, mapping, closure = cert
+            preimages, _, closure = cert
             certificates.append(Certificate.make(
                 kind,
-                generators=tuple(m.names[g] for g in gens),
+                generators=tuple(m.names[x] for x in preimages),
                 submonoid_size=len(closure)))
-    bounds["skipped"] = tuple(skipped)
 
     shuffle = find_shuffle_witness(om, max_witness_len)
     if shuffle is not None:
@@ -374,11 +368,11 @@ def verify_certificate(om: OrderedMonoid, cert: Certificate) -> bool:
                     not any(m.mul(g, h) == e and m.mul(h, g) == e for h in local):
                 return False
         return True
-    if cert.kind in ("divides_ba2_plus", "divides_u_plus"):
-        name = "BA2_PLUS" if cert.kind == "divides_ba2_plus" else "U_PLUS"
-        divisor, _ = builtin_monoid(name)
-        ok, _cert = divides(divisor, om)
-        return ok
+    if cert.kind in _DIVISORS:
+        divisor, _ = builtin_monoid(_DIVISORS[cert.kind])
+        preimages = [_element_by_name(m, g) for g in data["generators"]]
+        image = division_map(divisor, om, preimages)
+        return image is not None and len(image) == data["submonoid_size"]
     if cert.kind == "shuffle":
         return _replay_shuffle(om, data["u"], data["w1"], data["w2"], data["v"])
     if cert.kind == "polcom_exclusion":
@@ -402,7 +396,5 @@ def serialize_classification(result: Classification,
             line += " replay=%s" % ("ok" if verify_certificate(om, cert) else "FAILED")
         lines.append(line)
     for key, value in result.search_bounds:
-        if key == "skipped":
-            value = ",".join(value) if value else "none"
         lines.append("bound: %s=%s" % (key, value))
     return "\n".join(lines) + "\n"

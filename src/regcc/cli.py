@@ -13,7 +13,8 @@ import sys
 
 from .automata import CcError, builtin_language_names, minimize, parse_dfa, serialize_dfa
 from .classify import (
-    BUILTIN_MONOID_NAMES, classify_nondet, serialize_classification,
+    BUILTIN_MONOID_NAMES, DEFAULT_WITNESS_LEN, classify_nondet,
+    serialize_classification,
 )
 from .commcc import (
     builtin_function, exact_deterministic_cc, language_problem,
@@ -161,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="non-deterministic complexity tier")
     p.add_argument("file")
-    p.add_argument("--max-witness-len", type=int, default=6)
+    p.add_argument("--max-witness-len", type=int, default=DEFAULT_WITNESS_LEN)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("cc", help="exact communication-complexity oracles")

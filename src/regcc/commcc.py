@@ -254,9 +254,6 @@ def _pip2_cell(xs: str, ys: str, variant: str) -> str:
     return value if promised else UNDEF
 
 
-BUILTIN_FUNCTION_NAMES = ("DISJ", "EQ", "IP", "LT", "NEQ", "PDISJ", "PIP2")
-
-
 # ---------------------------------------------------------------------------
 # language and monoid problems
 

@@ -4,7 +4,8 @@ Monoids are stored as explicit multiplication tables with canonical element
 names (shortest generator words, lexicographic tie-break).  The syntactic
 ordered monoid of a regular language is computed from the minimal automaton:
 its elements are the state maps of words, its order is context implication
-of membership, and its accepting set is an order ideal.
+of membership (read off language inclusions between states), and its
+accepting set is an order ideal.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from .automata import EPSILON, CapError, CcError, Dfa, minimize
 
 MONOID_CAP = 5000
-DIVIDES_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -154,14 +154,15 @@ class MonoidMorphism:
                     raise CcError("morphism does not preserve products at (%d,%d)" % (x, y))
 
 
-def _closure_from_actions(actions: dict[str, tuple[int, ...]], n_states: int, cap: int):
-    """BFS closure of state maps under right multiplication by generators.
+def _transition_closure(d: Dfa, cap: int):
+    """BFS closure of the state maps of ``d`` under right multiplication by
+    letters.
 
-    Returns (transforms, names, generator element indices).  Discovery order
-    is by word length then letter order, so names are canonical shortest
-    words.
+    Returns (monoid, letter morphism, state maps).  Discovery order is by
+    word length then letter order, so names are canonical shortest words.
     """
-    identity = tuple(range(n_states))
+    actions = {a: tuple(d.moves[k]) for k, a in enumerate(d.alphabet)}
+    identity = tuple(range(d.state_count))
     index = {identity: 0}
     transforms = [identity]
     names = [""]
@@ -180,60 +181,63 @@ def _closure_from_actions(actions: dict[str, tuple[int, ...]], n_states: int, ca
                 transforms.append(nt)
                 names.append(names[i] + a)
                 queue.append(index[nt])
-    gens = {a: index[tuple(actions[a])] for a in letters}
-    return transforms, names, gens
-
-
-def _monoid_from_transforms(transforms, names, gens) -> FiniteMonoid:
-    index = {t: i for i, t in enumerate(transforms)}
+    gens = {a: index[actions[a]] for a in letters}
     table = tuple(
         tuple(index[tuple(u[s] for s in t)] for u in transforms)
         for t in transforms
     )
-    return FiniteMonoid(len(transforms), 0, table, tuple(names),
-                        tuple(sorted(gens.items())))
+    m = FiniteMonoid(len(transforms), 0, table, tuple(names),
+                     tuple(sorted(gens.items())))
+    return m, gens, transforms
 
 
 def transition_monoid(d: Dfa, cap: int = MONOID_CAP):
     """Transformation monoid of the automaton and the letter morphism."""
-    actions = {a: tuple(d.moves[k]) for k, a in enumerate(d.alphabet)}
-    transforms, names, gens = _closure_from_actions(actions, d.state_count, cap)
-    return _monoid_from_transforms(transforms, names, gens), gens
+    m, gens, _ = _transition_closure(d, cap)
+    return m, gens
+
+
+def _state_inclusion(d: Dfa):
+    """incl[p][q] iff the language accepted from p is contained in the one
+    accepted from q: the greatest fixpoint over state pairs, seeded by
+    acceptance and refined over letters."""
+    states = range(d.state_count)
+    incl = [[p not in d.accepting or q in d.accepting for q in states]
+            for p in states]
+    changed = True
+    while changed:
+        changed = False
+        for p in states:
+            for q in states:
+                if incl[p][q] and not all(incl[move[p]][move[q]] for move in d.moves):
+                    incl[p][q] = False
+                    changed = True
+    return incl
 
 
 def syntactic_ordered_monoid(d: Dfa, cap: int = MONOID_CAP):
     """Syntactic ordered monoid of the language of ``d``.
 
-    Minimizes first, takes the transition monoid, and orders it by context
-    implication: x <= y iff every context (p, q) with p*y*q accepting also
-    has p*x*q accepting.  Contexts range over monoid elements, which is
-    sound because membership factors through the evaluation morphism.
+    Minimizes first and takes the transition monoid.  The order is the
+    syntactic one: x <= y iff every context (p, q) with p*y*q accepting also
+    has p*x*q accepting.  In the minimal automaton every state s is reached
+    by some prefix p, so this holds iff the language accepted from y(s) is
+    contained in the one accepted from x(s) for every state s.  The state
+    inclusions are a greatest fixpoint over state pairs, and the comparisons
+    cost O(|M|^2 |Q|), the same as the multiplication table.
     Returns (ordered monoid, letter morphism, accepting order ideal).
     """
     dmin = minimize(d)
-    actions = {a: tuple(dmin.moves[k]) for k, a in enumerate(dmin.alphabet)}
-    transforms, names, gens = _closure_from_actions(actions, dmin.state_count, cap)
-    m = _monoid_from_transforms(transforms, names, gens)
-    n = m.size
-    accepting = [transforms[i][dmin.initial] in dmin.accepting for i in range(n)]
-
-    # context set of x as a bitmask over (p, q) pairs
-    context = [0] * n
-    for x in range(n):
-        mask = 0
-        for p in range(n):
-            pxq_row = m.table[m.table[p][x]]
-            base = p * n
-            for q in range(n):
-                if accepting[pxq_row[q]]:
-                    mask |= 1 << (base + q)
-        context[x] = mask
+    m, gens, transforms = _transition_closure(dmin, cap)
+    incl = _state_inclusion(dmin)
+    states = range(dmin.state_count)
     leq = tuple(
-        tuple(context[y] & ~context[x] == 0 for y in range(n))
-        for x in range(n)
+        tuple(all(incl[ty[s]][tx[s]] for s in states) for ty in transforms)
+        for tx in transforms
     )
     order = StableOrder(leq)
-    members = frozenset(i for i in range(n) if accepting[i])
+    members = frozenset(i for i, t in enumerate(transforms)
+                        if t[dmin.initial] in dmin.accepting)
     ideal = OrderIdeal(members, _maximal_elements(order, members))
     return OrderedMonoid(m, order), gens, ideal
 
@@ -614,103 +618,93 @@ def nonabelian_subgroup_witness(m: FiniteMonoid):
     return None
 
 
-def _submonoids_with_generators(m: FiniteMonoid):
-    """Distinct submonoids of m, each with the smallest generator subset found."""
-    n = m.size
-    seen = {}
-    elements = [x for x in range(n) if x != m.identity]
-    for size in range(len(elements) + 1):
-        for combo in itertools.combinations(elements, size):
-            closure = {m.identity}
-            queue = deque(combo)
-            closure.update(combo)
-            while queue:
-                x = queue.popleft()
-                for y in tuple(closure):
-                    for z in (m.mul(x, y), m.mul(y, x)):
-                        if z not in closure:
-                            closure.add(z)
-                            queue.append(z)
-            key = frozenset(closure)
-            if key not in seen:
-                seen[key] = combo
-    return seen
+def division_map(n_om: OrderedMonoid, m_om: OrderedMonoid, preimages,
+                 limit: int | None = None):
+    """Division map sending the i-th preimage to N's i-th generator, or None.
 
-
-def divides(n_om: OrderedMonoid, m_om: OrderedMonoid, cap: int = DIVIDES_CAP):
-    """Exhaustive ordered-monoid division test: does n divide m?
-
-    True iff some submonoid of m maps onto n by a surjective morphism of
-    ordered monoids.  Returns (bool, certificate) where the certificate is
-    (generator subset, element map over the submonoid, submonoid elements).
-    Raises CapError above the cap;
-    callers needing divisor tests on larger monoids must use the specialized
-    predicates (e.g. the maximal-subgroup scan for group divisors).
+    The closure runs in M x N from the identity pair, by right
+    multiplication with the pairs (preimage, generator).  It is a division
+    map when it is functional, onto N and order-preserving; its keys are the
+    submonoid of M generated by the preimages.  With ``limit`` the closure
+    gives up once it grows past that many elements.
     """
     n_m, m_m = n_om.monoid, m_om.monoid
-    if m_m.size > cap:
-        raise CapError("division search capped at |M| <= %d (got %d)" % (cap, m_m.size))
-    for closure, gens in sorted(_submonoids_with_generators(m_m).items(),
-                                key=lambda kv: (len(kv[0]), sorted(kv[0]))):
-        if len(closure) < n_m.size:
-            continue
-        mapping = _surjection_search(sorted(closure), gens, n_om, m_om)
-        if mapping is not None:
-            return True, (gens, mapping, frozenset(closure))
-    return False, None
-
-
-def _surjection_search(sub, gens, n_om: OrderedMonoid, m_om: OrderedMonoid):
-    """Backtracking search for a surjective order-preserving morphism sub -> n."""
-    n_m, m_m = n_om.monoid, m_om.monoid
-
-    def extend(img):
-        # close img under products; return closed dict or None on conflict
-        img = dict(img)
-        changed = True
-        while changed:
-            changed = False
-            for x in list(img):
-                for y in list(img):
-                    xy = m_m.mul(x, y)
-                    v = n_m.mul(img[x], img[y])
-                    if xy in img:
-                        if img[xy] != v:
-                            return None
-                    else:
-                        img[xy] = v
-                        changed = True
-        return img
-
-    def ok_order(img):
-        for x in img:
-            for y in img:
-                if m_om.leq(x, y) and not n_om.leq(img[x], img[y]):
-                    return False
-        return True
-
-    def dfs(i, img):
-        if i == len(gens):
-            closed = extend(img)
-            if closed is None or len(closed) != len(sub):
+    gens = [g for _, g in n_m.generators]
+    if len(preimages) != len(gens):
+        raise CcError("%d preimages for %d generators" % (len(preimages), len(gens)))
+    pairs = tuple(zip(preimages, gens))
+    image = {m_m.identity: n_m.identity}
+    queue = deque([m_m.identity])
+    while queue:
+        x = queue.popleft()
+        v = image[x]
+        for px, pg in pairs:
+            y, w = m_m.mul(x, px), n_m.mul(v, pg)
+            known = image.get(y)
+            if known is None:
+                if limit is not None and len(image) >= limit:
+                    return None
+                image[y] = w
+                queue.append(y)
+            elif known != w:
                 return None
-            if set(closed.values()) != set(range(n_m.size)):
-                return None
-            if not ok_order(closed):
-                return None
-            return closed
-        for v in range(n_m.size):
-            trial = dict(img)
-            trial[gens[i]] = v
-            closed = extend(trial)
-            if closed is None:
-                continue
-            result = dfs(i + 1, closed)
-            if result is not None:
-                return result
+    if len(set(image.values())) != n_m.size:
         return None
+    for x in image:
+        for y in image:
+            if m_om.leq(x, y) and not n_om.leq(image[x], image[y]):
+                return None
+    return image
 
-    return dfs(0, {m_m.identity: n_m.identity})
+
+def _powers_map_onto(m: FiniteMonoid, x: int, n: FiniteMonoid, g: int) -> bool:
+    """True iff x^k -> g^k is a well-defined map of <x> onto <g>."""
+    seen = {}
+    px, pg = m.identity, n.identity
+    while px not in seen:
+        seen[px] = pg
+        px, pg = m.mul(px, x), n.mul(pg, g)
+    # the pair sequence is periodic from here iff the images agree
+    return seen[px] == pg
+
+
+def divides(n_om: OrderedMonoid, m_om: OrderedMonoid):
+    """Ordered-monoid division test: does n divide m?
+
+    True iff some submonoid of m maps onto n by a surjective morphism of
+    ordered monoids.  Such a morphism restricts to the submonoid generated
+    by one preimage of each generator of n, so the search runs over tuples
+    of preimages and closes each with ``division_map``.  A candidate
+    preimage of g is an element x whose cyclic submonoid maps functionally
+    onto that of g.  For k generators that is at most |M|^k closures, each
+    O(|M| k) steps plus an O(|M|^2) order check, and a closure stops once
+    it grows past the best one found.
+
+    Returns (bool, certificate) where the certificate is (preimages in the
+    order of n's generators, element map, submonoid elements) for the
+    smallest submonoid, ties broken by its sorted elements.  Raises CcError
+    when n's generators do not generate n, since the search would then
+    miss every division.
+    """
+    n_m, m_m = n_om.monoid, m_om.monoid
+    gens = [g for _, g in n_m.generators]
+    # the diagonal closure of n's generators is onto n iff they generate it
+    if division_map(n_om, n_om, gens) is None:
+        raise CcError("the generators of the divisor do not generate it")
+    candidates = [[x for x in range(m_m.size) if _powers_map_onto(m_m, x, n_m, g)]
+                  for g in gens]
+    best = None
+    for preimages in itertools.product(*candidates):
+        image = division_map(n_om, m_om, preimages,
+                             limit=None if best is None else best[0][0])
+        if image is not None:
+            key = (len(image), sorted(image))
+            if best is None or key < best[0]:
+                best = key, preimages, image
+    if best is None:
+        return False, None
+    _, preimages, image = best
+    return True, (preimages, image, frozenset(image))
 
 
 def find_tq(m: FiniteMonoid):

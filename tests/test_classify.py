@@ -85,6 +85,18 @@ def test_witness_length_cap():
         find_shuffle_witness(om, max_len=9)
 
 
+@pytest.mark.parametrize("replay, search", [
+    ("_replay_shuffle", find_shuffle_witness),
+    ("_replay_polcom", find_polcom_exclusion_witness),
+])
+def test_witness_failing_its_replay_raises(monkeypatch, replay, search):
+    # the check must survive python -O, so it is a raise, not an assert
+    om, _, _ = syntactic_ordered_monoid(builtin_language("BA2_LANG"))
+    monkeypatch.setattr("regcc.classify." + replay, lambda *args: False)
+    with pytest.raises(CcError, match="fails its replay"):
+        search(om)
+
+
 # --- built-in monoids --------------------------------------------------------------
 
 def test_builtin_monoid_names_round():
@@ -166,8 +178,10 @@ def test_classify_l5_gap():
     # no linear certificate may be present
     assert not any(r.certificate(k) for k in
                    ("tq", "nonabelian_subgroup", "shuffle"))
-    skipped = dict(r.search_bounds)["skipped"]
-    assert "divides_ba2_plus" in skipped and "divides_u_plus" in skipped
+    # division by both six-element monoids is decided, and absent
+    assert not any(r.certificate(k) for k in
+                   ("divides_ba2_plus", "divides_u_plus"))
+    assert dict(r.search_bounds) == {"max_witness_len": 6}
 
 
 def test_classify_log_witness_direction():

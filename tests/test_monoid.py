@@ -400,9 +400,12 @@ def test_divides():
     assert closure == frozenset({0, 3})
     assert not divides(z6, z2)[0]
     assert not divides(z3, z2)[0]
-    with pytest.raises(CapError):
-        big, _, _ = syntactic_ordered_monoid(builtin_language("L5"))
-        divides(z2, big)
+    # no size cap: L5's 31 elements are decided; the smallest submonoid
+    # onto Z2 is {1, x, x^2} with x^3 = x
+    big, _, _ = syntactic_ordered_monoid(builtin_language("L5"))
+    assert big.size == 31
+    ok, cert = divides(z2, big)
+    assert ok and len(cert[2]) == 3
 
 
 def test_divides_respects_order(ba2):
