@@ -20,6 +20,7 @@ evaluation; ``verify_certificate`` replays them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -91,9 +92,12 @@ _SYNTACTIC_SOURCES = {
 }
 
 
+@functools.lru_cache
 def builtin_monoid(name: str, q: int | None = None):
     """Named ordered monoid plus its distinguished ideal (None when the
-    monoid does not come from a language)."""
+    monoid does not come from a language).  Cached: classification and
+    every division replay ask for the same divisors, and the results are
+    frozen dataclasses."""
     if name in _SYNTACTIC_SOURCES:
         om, _, ideal = syntactic_ordered_monoid(builtin_language(_SYNTACTIC_SOURCES[name]))
         return om, ideal

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy import sparse
@@ -33,6 +32,7 @@ DISJOINT_CAP = 16             # per side, partition search
 EXACT_CC_CAP = 8              # per side, protocol-depth search
 FOOLING_CAP = 64
 MEASURE_CAP = 32
+# maximal rectangles: nodes seen; partition candidates: (R, C) pairs visited
 CONCEPT_CAP = 300_000
 
 
@@ -541,23 +541,23 @@ def _set_cover_exact(universe, candidates):
 
 
 def _rank_q(mat) -> int:
-    """Exact rank over the rationals by Gaussian elimination."""
-    m = [[Fraction(v) for v in row] for row in mat]
-    if not m:
-        return 0
-    rows, cols = len(m), len(m[0])
+    """Exact rank over the rationals of an integer matrix, by fraction-free
+    (Bareiss) elimination: every entry stays an integer minor of ``mat``
+    and each division by the previous pivot is exact."""
+    m = [list(row) for row in mat]
+    rows = len(m)
     r = 0
-    for c in range(cols):
+    prev = 1
+    for c in range(len(m[0]) if m else 0):
         pivot = next((i for i in range(r, rows) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        p = m[r][c]
+        for i in range(r + 1, rows):
+            a = m[i][c]
+            m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], m[r])]
+        prev = p
         r += 1
         if r == rows:
             break
@@ -743,64 +743,53 @@ def min_disjoint_cover(f: CommFunction):
 
 
 def _closed_rectangles(vals, nr, nc):
-    """All monochromatic rectangles that are hulls of their defined cells.
+    """All monochromatic rectangles that are hulls of their defined cells,
+    as sorted (row mask, col mask, color) triples.
 
     Every partition can be rewritten to use only such rectangles: shrinking
     a part to the hull of its defined cells keeps it monochromatic and
     keeps the parts disjoint.
-    """
-    def close(color, def_mask):
-        # def_mask over nr*nc cells
-        while True:
-            rows_mask = cols_mask = 0
-            m = def_mask
-            while m:
-                low = m & -m
-                k = low.bit_length() - 1
-                rows_mask |= 1 << (k // nc)
-                cols_mask |= 1 << (k % nc)
-                m ^= low
-            grown = 0
-            for i in _mask_to_indices(rows_mask):
-                for j in _mask_to_indices(cols_mask):
-                    v = vals[i][j]
-                    if v is not None:
-                        if v != color:
-                            return None
-                        grown |= 1 << (i * nc + j)
-            if grown == def_mask:
-                return rows_mask, cols_mask, def_mask
-            def_mask = grown
 
-    seen = {}
-    queue = []
-    for i in range(nr):
-        for j in range(nc):
-            if vals[i][j] is None:
+    For each color z the row sets R are walked in increasing mask order,
+    each taking from R minus its low row two column masks: its z-intent
+    (columns with no defined 1-z cell in R) and its reach (columns with a
+    defined cell in R).  R x C is the hull of its defined cells exactly
+    when every column of C has a defined cell in R and every row of R has
+    one in C; so C runs over the nonempty subsets of intent & reach and is
+    kept when no row of R misses it.  For a total function every check
+    passes and the list is every z-monochromatic rectangle.  Raises
+    CapError before visiting more than CONCEPT_CAP (R, C) pairs.
+    """
+    row_def = [sum(1 << j for j in range(nc) if vals[i][j] is not None)
+               for i in range(nr)]
+    out = []
+    visited = 0
+    for z in (0, 1):
+        compat = [sum(1 << j for j in range(nc) if vals[i][j] != 1 - z)
+                  for i in range(nr)]
+        intent = [(1 << nc) - 1] + [0] * ((1 << nr) - 1)
+        reach = [0] * (1 << nr)
+        for rows_mask in range(1, 1 << nr):
+            low = rows_mask & -rows_mask
+            i = low.bit_length() - 1
+            intent[rows_mask] = intent[rows_mask ^ low] & compat[i]
+            reach[rows_mask] = reach[rows_mask ^ low] | row_def[i]
+            space = intent[rows_mask] & reach[rows_mask]
+            if not space:
                 continue
-            color = vals[i][j]
-            closed = close(color, 1 << (i * nc + j))
-            key = (closed[0], closed[1], color)
-            if key not in seen:
-                seen[key] = closed[2]
-                queue.append(key)
-    while queue:
-        rows_mask, cols_mask, color = queue.pop()
-        def_mask = seen[(rows_mask, cols_mask, color)]
-        for i in range(nr):
-            for j in range(nc):
-                if vals[i][j] != color or def_mask >> (i * nc + j) & 1:
-                    continue
-                closed = close(color, def_mask | (1 << (i * nc + j)))
-                if closed is None:
-                    continue
-                key = (closed[0], closed[1], color)
-                if key not in seen:
-                    if len(seen) > CONCEPT_CAP:
-                        raise CapError("partition candidate enumeration exceeds cap")
-                    seen[key] = closed[2]
-                    queue.append(key)
-    return sorted((rm, cm, color) for (rm, cm, color) in seen)
+            visited += (1 << space.bit_count()) - 1
+            if visited > CONCEPT_CAP:
+                raise CapError("partition candidate enumeration exceeds cap")
+            # rows defined on all of space pass for every C
+            partial = [row_def[r] & space for r in _mask_to_indices(rows_mask)
+                       if row_def[r] & space != space]
+            cols_mask = space
+            while cols_mask:
+                if all(d & cols_mask for d in partial):
+                    out.append((rows_mask, cols_mask, z))
+                cols_mask = (cols_mask - 1) & space
+    out.sort()
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,22 @@ def test_builtin_monoid_names_round():
         builtin_monoid("TQ_EXAMPLE")
 
 
+def test_divisor_monoids_built_once(monkeypatch):
+    # classification and division replays reuse the cached divisors, so
+    # the only syntactic monoid built is the input's own
+    builtin_monoid("BA2_PLUS")
+    builtin_monoid("U_PLUS")
+    built = []
+    monkeypatch.setattr("regcc.classify.syntactic_ordered_monoid",
+                        lambda d: built.append(d) or syntactic_ordered_monoid(d))
+    d = builtin_language("BA2_LANG")
+    r = classify_nondet(d)
+    om, _, _ = syntactic_ordered_monoid(d)
+    assert any(c.kind.startswith("divides_") for c in r.certificates)
+    assert all(verify_certificate(om, c) for c in r.certificates)
+    assert built == [d]
+
+
 def test_tq_example_has_orbit():
     for q in (2, 3, 4):
         om, _ = builtin_monoid("TQ_EXAMPLE", q=q)

@@ -1,6 +1,9 @@
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from regcc.automata import CapError, CcError, builtin_language
 from regcc.commcc import (
@@ -11,6 +14,7 @@ from regcc.commcc import (
     serialize_cover, serialize_function, simulate_cover_protocol,
     validate_disjoint_cover,
 )
+from regcc.commcc import _closed_rectangles, _rank_q
 from regcc.monoid import (
     FiniteMonoid, OrderedMonoid, ideal_generated, syntactic_ordered_monoid,
 )
@@ -71,6 +75,64 @@ def brute_min_disjoint(f):
 
     dfs(set(), set(), 0)
     return best[0]
+
+
+def brute_closed_rectangles(f):
+    """Oracle: every z-compatible rectangle from ``all_rects`` that equals
+    the hull of its defined cells, as sorted (row mask, col mask, z)."""
+    out = []
+    for r in all_rects(f):
+        defined = [(i, j, f.value(i, j)) for i, j in r.cells()
+                   if f.value(i, j) is not None]
+        if {i for i, _, _ in defined} != set(r.rows) or \
+                {j for _, j, _ in defined} != set(r.cols):
+            continue
+        for z in (0, 1):
+            if all(v == z for _, _, v in defined):
+                out.append((sum(1 << i for i in r.rows),
+                            sum(1 << j for j in r.cols), z))
+    return sorted(out)
+
+
+def fraction_rank(mat):
+    """Oracle: rank over the rationals by Gaussian elimination on Fractions."""
+    m = [[Fraction(v) for v in row] for row in mat]
+    if not m:
+        return 0
+    rows, cols = len(m), len(m[0])
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                factor = m[i][c]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+@st.composite
+def matrices(draw, alphabet, max_rows, max_cols):
+    """Rectangular matrices over ``alphabet`` with at least one 0/1 cell,
+    as tuples of row strings."""
+    nr = draw(st.integers(1, max_rows))
+    nc = draw(st.integers(1, max_cols))
+    cell = st.sampled_from(alphabet)
+    rows = tuple("".join(draw(cell) for _ in range(nc)) for _ in range(nr))
+    assume(any(ch in "01" for row in rows for ch in row))
+    return rows
+
+
+def as_function(rows):
+    return CommFunction("random", tuple("r%d" % i for i in range(len(rows))),
+                        tuple("c%d" % j for j in range(len(rows[0]))), rows)
 
 
 def brute_max_fooling(f, z):
@@ -292,6 +354,40 @@ def test_min_disjoint_cover_promise_oracle():
 def test_disjoint_cover_cap():
     with pytest.raises(CapError):
         min_disjoint_cover(builtin_function("EQ", 5))
+
+
+def test_disjoint_cover_work_cap():
+    # 16x16 distinct rows and columns: within the size cap, but NEQ's
+    # 1-rectangles number about 3^16, past the candidate cap
+    with pytest.raises(CapError):
+        min_disjoint_cover(builtin_function("NEQ", 4))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(matrices("01*", 5, 5))
+def test_closed_rectangles_match_oracle(rows):
+    f = as_function(rows)
+    vals = [[f.value(i, j) for j in range(f.n_cols)] for i in range(f.n_rows)]
+    assert _closed_rectangles(vals, f.n_rows, f.n_cols) == brute_closed_rectangles(f)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(matrices("01", 16, 16))
+def test_rank_matches_fraction_elimination(rows):
+    mat = [[int(ch) for ch in row] for row in rows]
+    assert _rank_q(mat) == fraction_rank(mat)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(st.one_of(matrices("01", 3, 4), matrices("01*", 3, 4)))
+# promise inputs whose greedy partition is not optimal: the integer program decides
+@example(("10**", "11*1", "1000"))
+@example(("0011", "*101", "*1*1"))
+def test_min_disjoint_cover_matches_brute_oracle(rows):
+    f = as_function(rows)
+    count, cover = min_disjoint_cover(f)
+    validate_disjoint_cover(f, cover)
+    assert count == len(cover.rectangles) == brute_min_disjoint(f)
 
 
 # --- exact deterministic complexity -------------------------------------------
