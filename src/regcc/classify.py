@@ -22,15 +22,17 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 from .automata import CcError, Dfa, builtin_language
 from .monoid import (
     FiniteMonoid, OrderedMonoid, commutative_quotient, divides, division_map,
-    eval_word, exponent, find_tq, maximal_subgroups, syntactic_ordered_monoid,
-    transition_monoid,
+    eval_word, exponent, find_tq, nonabelian_subgroup_witness,
+    syntactic_ordered_monoid, transition_monoid,
 )
+# not called here (nonabelian_subgroup_witness walks the subgroups); kept
+# because perfbench/spans.py traces the binding regcc.classify.maximal_subgroups
+from .monoid import maximal_subgroups  # noqa: F401
 
 TIERS = ("CONSTANT", "LOG_LOWER", "LINEAR_LOWER", "UNRESOLVED_GAP")
 
@@ -122,6 +124,24 @@ def _generator_words(m: FiniteMonoid, lo: int, hi: int):
             yield "".join(tup)
 
 
+def _rearrangements(word: str):
+    """Distinct rearrangements of ``word`` in lexicographic order: the words
+    with its letter counts, in the order ``_generator_words`` meets them."""
+    letters = sorted(word)
+    while True:
+        yield "".join(letters)
+        i = len(letters) - 2
+        while i >= 0 and letters[i] >= letters[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(letters) - 1
+        while letters[j] <= letters[i]:
+            j -= 1
+        letters[i], letters[j] = letters[j], letters[i]
+        letters[i + 1:] = reversed(letters[i + 1:])
+
+
 def is_shuffle(v: str, w1: str, w2: str) -> bool:
     """True iff v interleaves w1 and w2 preserving their internal order."""
     if len(v) != len(w1) + len(w2):
@@ -195,6 +215,8 @@ def find_polcom_exclusion_witness(om: OrderedMonoid,
     a commutative monoid, which is the hypothesis under which membership
     would force eval(u^w v u^w) <= eval(u^w).  A pair with
     eval(u^w v u^w) not below eval(u^w) therefore excludes membership.
+    Equal letter counts force equal length, so v runs over the
+    rearrangements of u.
     """
     if max_len > MAX_WITNESS_LEN:
         raise CcError("witness length capped at %d" % MAX_WITNESS_LEN)
@@ -204,11 +226,8 @@ def find_polcom_exclusion_witness(om: OrderedMonoid,
         eu = eval_word(m, u)
         if m.mul(eu, eu) != eu:
             continue
-        counts = Counter(u)
         uw = m.power(eu, omega)
-        for v in _generator_words(m, 1, max_len):
-            if Counter(v) != counts:
-                continue
+        for v in _rearrangements(u):
             x = m.mul(m.mul(uw, eval_word(m, v)), uw)
             if not om.leq(x, uw):
                 if not _replay_polcom(om, u, v):
@@ -285,17 +304,7 @@ def classify_nondet(obj, max_witness_len: int = DEFAULT_WITNESS_LEN) -> Classifi
         certificates.append(Certificate.make(
             "tq", q=q, e=m.names[e], f=m.names[f]))
 
-    witness = None
-    for e, group in maximal_subgroups(m):
-        for g1 in sorted(group):
-            for g2 in sorted(group):
-                if m.mul(g1, g2) != m.mul(g2, g1):
-                    witness = (e, g1, g2)
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    witness = nonabelian_subgroup_witness(m)
     if witness:
         e, g1, g2 = witness
         certificates.append(Certificate.make(

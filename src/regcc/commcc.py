@@ -7,9 +7,10 @@ wildcards inside rectangles: a z-monochromatic rectangle must avoid defined
 
 Exact solvers: minimum rectangle cover (branch and bound over maximal
 rectangles), minimum disjoint cover (rank-bounded search with an integer
-program as fallback), deterministic protocol depth (memoized bipartition
-recursion), maximum fooling set (maximum clique), maximum rectangle
-measure.
+program as fallback), deterministic protocol depth (one memoized search
+over row and column bipartitions, whose first optimal split at each node
+gives the protocol tree), maximum fooling set (maximum clique), maximum
+rectangle measure.
 """
 
 from __future__ import annotations
@@ -816,17 +817,32 @@ def exact_deterministic_cc(f: CommFunction):
     protocol tree.  Recursion: a rectangle costs 0 if monochromatic
     (undefined cells wildcard), else 1 plus the best worst-child over all
     nontrivial row or column bipartitions.  Matches the convention in which
-    the answer bit is part of the transcript: EQ on n bits costs n+1."""
+    the answer bit is part of the transcript: EQ on n bits costs n+1.
+
+    The tree follows one rule.  Splits are tried rows before columns; equal
+    rows (columns) stay together, their groups sorted by content, and each
+    split puts the first group and a subset of the others, counted up in
+    binary, on one side.  A node takes the first split whose worst child is
+    least; a leaf takes the least defined color."""
     if f.n_rows > EXACT_CC_CAP or f.n_cols > EXACT_CC_CAP:
         raise CapError("exact protocol search capped at %dx%d"
                        % (EXACT_CC_CAP, EXACT_CC_CAP))
+    n_cols = f.n_cols
     base = tuple(tuple(-1 if v is None else v
-                       for v in (f.value(i, j) for j in range(f.n_cols)))
+                       for v in (f.value(i, j) for j in range(n_cols)))
                  for i in range(f.n_rows))
-    memo = {}
+    # where[z][i]: the columns holding a z in row i
+    where = [[sum(1 << j for j, v in enumerate(row) if v == z) for row in base]
+             for z in (0, 1)]
+    memo = {}  # canonical content -> depth
+    # depth per rectangle at index rows mask << n_cols | cols mask, 255 unsolved
+    by_rect = bytearray([255]) * (1 << (f.n_rows + n_cols))
 
-    def canon(rows):
-        rows = tuple(sorted(set(rows)))
+    def colors(row_idx, cols):
+        return [z for z in (0, 1) if any(where[z][i] & cols for i in row_idx)]
+
+    def canon(row_idx, col_idx):
+        rows = tuple(sorted({tuple(base[i][j] for j in col_idx) for i in row_idx}))
         for _ in range(4):
             cols = tuple(sorted(set(zip(*rows))))
             rows2 = tuple(sorted(set(zip(*cols))))
@@ -835,97 +851,67 @@ def exact_deterministic_cc(f: CommFunction):
             rows = rows2
         return rows
 
-    def mono(rows):
-        seen = set()
-        for row in rows:
-            for v in row:
-                if v != -1:
-                    seen.add(v)
-                    if len(seen) > 1:
-                        return False
-        return True
-
-    def solve(rows):
-        key = canon(rows)
-        if key in memo:
-            return memo[key]
-        if mono(key):
-            memo[key] = 0
-            return 0
-        rows = key
-        k = len(rows)
-        ncols = len(rows[0])
-        best = 10 ** 9
+    def best_split(rows, cols):
+        """(depth, split) of rows x cols over row and column masks; split is
+        None at a leaf, else (side, (part_a, part_b)), the first split in
+        the rule's order that reaches the depth."""
+        row_idx, col_idx = _mask_to_indices(rows), _mask_to_indices(cols)
+        if len(colors(row_idx, cols)) < 2:
+            return 0, None
+        best, split = 10 ** 9, None
         for side in ("rows", "cols"):
-            items = rows if side == "rows" else tuple(zip(*rows))
-            count = len(items)
-            if count < 2:
-                continue
-            # part_a holds item 0; every proper complement appears once
+            groups = {}
+            for x in (row_idx if side == "rows" else col_idx):
+                key = tuple(base[x][j] for j in col_idx) if side == "rows" \
+                    else tuple(base[i][x] for i in row_idx)
+                groups[key] = groups.get(key, 0) | 1 << x
+            masks = [groups[key] for key in sorted(groups)]
+            count = len(masks)
+            # part_a holds group 0; every proper complement appears once
             for pick in range((1 << (count - 1)) - 1):
-                part_a = tuple(items[i] for i in range(count) if i == 0 or pick >> (i - 1) & 1)
-                part_b = tuple(items[i] for i in range(1, count) if not pick >> (i - 1) & 1)
-                if side == "cols":
-                    part_a = tuple(zip(*part_a))
-                    part_b = tuple(zip(*part_b))
-                d1 = solve(part_a)
+                part_a, part_b = masks[0], 0
+                for k in range(1, count):
+                    if pick >> (k - 1) & 1:
+                        part_a |= masks[k]
+                    else:
+                        part_b |= masks[k]
+                if side == "rows":
+                    parts = ((part_a, cols), (part_b, cols))
+                else:
+                    parts = ((rows, part_a), (rows, part_b))
+                d1 = solve(*parts[0])
                 if d1 + 1 >= best:
                     continue
-                d2 = solve(part_b)
-                best = min(best, 1 + max(d1, d2))
-                if best == 1:
-                    break
-            if best == 1:
-                break
-        memo[key] = best
-        return best
+                d = 1 + max(d1, solve(*parts[1]))
+                if d < best:
+                    best, split = d, (side, parts)
+                    if best == 1:
+                        return best, split
+        return best, split
 
-    def content(row_idx, col_idx):
-        return tuple(tuple(base[i][j] for j in col_idx) for i in row_idx)
+    def solve(rows, cols):
+        rect = rows << n_cols | cols
+        d = by_rect[rect]
+        if d == 255:
+            key = canon(_mask_to_indices(rows), _mask_to_indices(cols))
+            d = memo.get(key)
+            if d is None:
+                d = memo[key] = best_split(rows, cols)[0]
+            by_rect[rect] = d
+        return d
 
-    def rebuild(row_idx, col_idx):
-        sub = content(row_idx, col_idx)
-        d = solve(sub)
-        if d == 0:
-            colors = {v for row in sub for v in row if v != -1}
-            return ProtocolNode(tuple(row_idx), tuple(col_idx),
-                                color=min(colors) if colors else None)
-        # group duplicate rows/cols so splits mirror the solved recursion
-        for side in ("rows", "cols"):
-            if side == "rows":
-                groups = {}
-                for i in row_idx:
-                    groups.setdefault(tuple(base[i][j] for j in col_idx), []).append(i)
-            else:
-                groups = {}
-                for j in col_idx:
-                    groups.setdefault(tuple(base[i][j] for i in row_idx), []).append(j)
-            keys = sorted(groups)
-            count = len(keys)
-            if count < 2:
-                continue
-            for pick in range((1 << (count - 1)) - 1):
-                sel = [keys[i] for i in range(count) if i == 0 or pick >> (i - 1) & 1]
-                rest = [keys[i] for i in range(1, count) if not pick >> (i - 1) & 1]
-                if side == "rows":
-                    ra = sorted(i for kk in sel for i in groups[kk])
-                    rb = sorted(i for kk in rest for i in groups[kk])
-                    parts = ((ra, list(col_idx)), (rb, list(col_idx)))
-                else:
-                    ca = sorted(j for kk in sel for j in groups[kk])
-                    cb = sorted(j for kk in rest for j in groups[kk])
-                    parts = ((list(row_idx), ca), (list(row_idx), cb))
-                d1 = solve(content(*parts[0]))
-                d2 = solve(content(*parts[1]))
-                if 1 + max(d1, d2) == d:
-                    return ProtocolNode(tuple(row_idx), tuple(col_idx),
-                                        split=side,
-                                        children=(rebuild(*parts[0]),
-                                                  rebuild(*parts[1])))
-        raise AssertionError("no split matches the solved value")
+    def walk(rows, cols):
+        row_idx, col_idx = _mask_to_indices(rows), _mask_to_indices(cols)
+        _, split = best_split(rows, cols)
+        if split is None:
+            return ProtocolNode(row_idx, col_idx,
+                                color=min(colors(row_idx, cols)))
+        side, parts = split
+        return ProtocolNode(row_idx, col_idx, split=side,
+                            children=tuple(walk(*part) for part in parts))
 
-    tree = rebuild(list(range(f.n_rows)), list(range(f.n_cols)))
-    return solve(base), tree
+    full_rows, full_cols = (1 << f.n_rows) - 1, (1 << n_cols) - 1
+    return solve(full_rows, full_cols), walk(full_rows, full_cols)
 
 
 # ---------------------------------------------------------------------------

@@ -673,32 +673,41 @@ def _advance(pa, pb, entry):
     return pa + 1, pb + 1
 
 
-def _matrix_brute(u: str, v: str, slots: int):
-    """Placement enumeration without pruning; cross-check path."""
-    width = 2 * slots
-    for pos0 in itertools.combinations(range(width), len(u)):
-        row0 = [EPSILON] * width
-        for p, ch in zip(pos0, u):
-            row0[p] = ch
-        for pos1 in itertools.combinations(range(width), len(v)):
-            row1 = [EPSILON] * width
-            for p, ch in zip(pos1, v):
-                row1[p] = ch
-            word01 = "".join(row0[k] if k % 2 == 0 else row1[k]
-                             for k in range(width)).replace(EPSILON, "")
-            if word01 != u:
+def _v_candidates(dfa: Dfa, u: str, slots: int, relaxed: bool, pruned: bool):
+    """The words v the matrix search tries against u, in search order."""
+    balance = Counter(u)
+    classes = None if relaxed else _l5_v_classes(dfa, u)
+    # every matrix entry is read once by the two row words and once by
+    # the two mixed words, so v carries exactly the letters of u; its
+    # running a-minus-b count is likewise pinched by u's prefix sums
+    sums_u = _prefix_sums(u)
+    lo = 2 * min(sums_u) - max(sums_u)
+    hi = 2 * max(sums_u) - min(sums_u)
+    lengths = (len(u),) if pruned else tuple(range(1, 2 * slots + 1))
+    candidates = []
+    for length in lengths:
+        for tup in itertools.product("ab", repeat=length):
+            v = "".join(tup)
+            if classes is not None and dfa.word_action(v) not in classes:
                 continue
-            word10 = "".join(row1[k] if k % 2 == 0 else row0[k]
-                             for k in range(width)).replace(EPSILON, "")
-            if word10 != u:
-                continue
-            return tuple(row0), tuple(row1)
-    return None
+            if pruned:
+                if Counter(v) != balance:
+                    continue
+                run = 0
+                ok = True
+                for ch in v:
+                    run += 1 if ch == "a" else -1
+                    if not lo <= run <= hi:
+                        ok = False
+                        break
+                if not ok:
+                    continue
+            candidates.append(v)
+    return candidates
 
 
 def search_local_reduction_nonexistence(s_max: int = 1, relaxed: bool = False,
-                                        pruned: bool = True,
-                                        brute: bool = False) -> NonexistenceReport:
+                                        pruned: bool = True) -> NonexistenceReport:
     """Exhaust the bounded shape of a local PDISJ reduction to the
     five-state language: three bit combinations must read a power of the
     idempotent word, the fourth a word from the derived transition classes.
@@ -706,8 +715,7 @@ def search_local_reduction_nonexistence(s_max: int = 1, relaxed: bool = False,
     ``relaxed`` drops the transition-class requirement on v (the sanity
     inversion; a matrix then exists, e.g. with both rows equal).
     ``pruned`` applies the letter-balance count filter before the matrix
-    search; ``brute`` uses raw placement enumeration instead of the
-    pointer-guided search.
+    search.
     """
     if not (1 <= s_max <= 3):
         raise CcError("s_max must be between 1 and 3")
@@ -719,37 +727,10 @@ def search_local_reduction_nonexistence(s_max: int = 1, relaxed: bool = False,
     matrices = []
     v_counts = []
     for u in u_words:
-        balance = Counter(u)
-        classes = None if relaxed else _l5_v_classes(dfa, u)
-        # every matrix entry is read once by the two row words and once by
-        # the two mixed words, so v carries exactly the letters of u; its
-        # running a-minus-b count is likewise pinched by u's prefix sums
-        sums_u = _prefix_sums(u)
-        lo = 2 * min(sums_u) - max(sums_u)
-        hi = 2 * max(sums_u) - min(sums_u)
-        lengths = (len(u),) if pruned else tuple(range(1, 2 * slots + 1))
-        candidates = []
-        for length in lengths:
-            for tup in itertools.product("ab", repeat=length):
-                v = "".join(tup)
-                if classes is not None and dfa.word_action(v) not in classes:
-                    continue
-                if pruned:
-                    if Counter(v) != balance:
-                        continue
-                    run = 0
-                    ok = True
-                    for ch in v:
-                        run += 1 if ch == "a" else -1
-                        if not lo <= run <= hi:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                candidates.append(v)
+        candidates = _v_candidates(dfa, u, slots, relaxed, pruned)
         v_counts.append((u, len(candidates)))
         for v in candidates:
-            found = (_matrix_brute if brute else _matrix_dfs)(u, v, slots)
+            found = _matrix_dfs(u, v, slots)
             if found is not None:
                 matrices.append((u, v, found[0], found[1]))
                 if relaxed:

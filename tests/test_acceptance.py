@@ -6,6 +6,7 @@ are exercised through the property checks and the small-size growth
 criteria below.
 """
 
+import hashlib
 import io
 import itertools
 from contextlib import contextmanager, redirect_stdout
@@ -16,7 +17,8 @@ from regcc.cli import main
 from regcc.commcc import (
     RectangleMeasure, builtin_function, exact_deterministic_cc,
     max_fooling_set, max_rectangle_measure, min_cover, min_disjoint_cover,
-    monoid_problem, simulate_cover_protocol, validate_disjoint_cover,
+    monoid_problem, serialize_tree, simulate_cover_protocol,
+    validate_disjoint_cover,
 )
 from regcc.monoid import eval_word, ideal_generated, syntactic_ordered_monoid
 from regcc.reductions import (
@@ -108,9 +110,11 @@ def _builtins_at(n):
 
 def test_criterion_06_sandwich_inequalities():
     with criterion(6, "fooling <= C^z <= C^D; D vs log C^D and cover product"):
+        trees = hashlib.sha256()
         for n in (1, 2, 3):
             for f in _builtins_at(n):
                 d, tree = exact_deterministic_cc(f)
+                trees.update(serialize_tree(tree).encode())
                 cd, cover = min_disjoint_cover(f)
                 validate_disjoint_cover(f, cover)
                 covers = {}
@@ -125,6 +129,9 @@ def test_criterion_06_sandwich_inequalities():
                 if 0 in covers and 1 in covers:
                     bound = (log2ceil(covers[0]) + 2) * (log2ceil(covers[1]) + 2)
                     assert d <= bound, (f.name, n)
+        # the protocol trees of all 27 functions, pinned byte for byte
+        assert trees.hexdigest() == \
+            "0563eb2321cfce8cfefa7480ac81e544235abc2510d584a02c02465a370a50d4"
 
 
 def test_criterion_07_ba2_plus_structure():

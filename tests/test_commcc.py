@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from regcc.automata import CapError, CcError, builtin_language
 from regcc.commcc import (
-    CommFunction, Cover, Rectangle, RectangleMeasure, builtin_function,
-    exact_deterministic_cc, format_indices, is_monochromatic, language_problem,
-    language_problem_partition, max_fooling_set, max_rectangle_measure,
-    min_cover, min_disjoint_cover, monochromatic_color, monoid_problem,
-    serialize_cover, serialize_function, simulate_cover_protocol,
-    validate_disjoint_cover,
+    CommFunction, Cover, ProtocolNode, Rectangle, RectangleMeasure,
+    builtin_function, exact_deterministic_cc, format_indices, is_monochromatic,
+    language_problem, language_problem_partition, max_fooling_set,
+    max_rectangle_measure, min_cover, min_disjoint_cover, monochromatic_color,
+    monoid_problem, serialize_cover, serialize_function,
+    simulate_cover_protocol, validate_disjoint_cover,
 )
 from regcc.commcc import _closed_rectangles, _rank_q
 from regcc.monoid import (
@@ -133,6 +133,40 @@ def matrices(draw, alphabet, max_rows, max_cols):
 def as_function(rows):
     return CommFunction("random", tuple("r%d" % i for i in range(len(rows))),
                         tuple("c%d" % j for j in range(len(rows[0]))), rows)
+
+
+def rule_protocol_tree(f, rows, cols):
+    """Oracle: the depth and tree of ``exact_deterministic_cc``'s stated rule,
+    unmemoized.  Splits run rows before columns over groups of equal rows
+    (columns) sorted by content; group 0 plus the groups picked by the bits
+    of a counter form one side.  A node takes the first split whose worst
+    child is least; a leaf takes the least defined color."""
+    defined = {f.value(i, j) for i in rows for j in cols} - {None}
+    if len(defined) < 2:
+        return 0, ProtocolNode(rows, cols, color=min(defined, default=None))
+    best = None
+    for side in ("rows", "cols"):
+        groups = {}
+        for x in (rows if side == "rows" else cols):
+            # "*" < "0" < "1", the order of the contents as -1, 0, 1
+            key = "".join(f.rows[x][j] for j in cols) if side == "rows" else \
+                "".join(f.rows[i][x] for i in rows)
+            groups.setdefault(key, []).append(x)
+        keys = sorted(groups)
+        for pick in range((1 << (len(keys) - 1)) - 1):
+            part_a = sorted(x for k, key in enumerate(keys)
+                            if k == 0 or pick >> (k - 1) & 1 for x in groups[key])
+            part_b = sorted(x for k, key in enumerate(keys)
+                            if k > 0 and not pick >> (k - 1) & 1 for x in groups[key])
+            if side == "rows":
+                parts = ((tuple(part_a), cols), (tuple(part_b), cols))
+            else:
+                parts = ((rows, tuple(part_a)), (rows, tuple(part_b)))
+            (d1, t1), (d2, t2) = (rule_protocol_tree(f, *part) for part in parts)
+            if best is None or 1 + max(d1, d2) < best[0]:
+                best = (1 + max(d1, d2),
+                        ProtocolNode(rows, cols, split=side, children=(t1, t2)))
+    return best
 
 
 def brute_max_fooling(f, z):
@@ -411,6 +445,14 @@ def test_exact_cc_constant():
 def test_exact_cc_cap():
     with pytest.raises(CapError):
         exact_deterministic_cc(builtin_function("EQ", 4))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(matrices("01*", 4, 4))
+def test_exact_cc_matches_rule_oracle(rows):
+    f = as_function(rows)
+    everything = (tuple(range(f.n_rows)), tuple(range(f.n_cols)))
+    assert exact_deterministic_cc(f) == rule_protocol_tree(f, *everything)
 
 
 def test_promise_monotonicity():

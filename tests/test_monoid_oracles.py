@@ -1,26 +1,29 @@
-"""Differential tests of the syntactic order and of ordered division.
+"""Differential tests of the syntactic order, of ordered division and of
+the polynomial-closure exclusion witness.
 
 The reference oracles are the direct definitions, kept here as test-only
 code: the order by context implication over all pairs of monoid elements,
-and division by an exhaustive search over every submonoid and every
-surjective order-preserving morphism onto the divisor.  Both are
+division by an exhaustive search over every submonoid and every
+surjective order-preserving morphism onto the divisor, and the witness by
+a scan over every pair of words up to the length bound.  All are
 exponential or cubic, so the random inputs are small and seeded.
 """
 
 import itertools
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import replace
 
 import pytest
 
-from regcc.automata import CapError, CcError, Dfa, minimize
+from regcc.automata import CapError, CcError, Dfa, builtin_language, minimize
 from regcc.classify import (
-    Certificate, builtin_monoid, classify_nondet, verify_certificate,
+    Certificate, builtin_monoid, classify_nondet,
+    find_polcom_exclusion_witness, verify_certificate,
 )
 from regcc.monoid import (
     FiniteMonoid, OrderedMonoid, StableOrder, divides, division_map,
-    eval_word, syntactic_ordered_monoid, transition_monoid,
+    eval_word, exponent, syntactic_ordered_monoid, transition_monoid,
 )
 
 
@@ -250,3 +253,42 @@ def test_divides_decides_large_monoids():
     ok, cert = divides(builtin_monoid("BA2_PLUS")[0], om)
     assert ok and len(cert[2]) == 6
     assert [eval_word(om, w) for w in ("a", "b")] == list(cert[0])
+
+
+# --- oracle: polynomial-closure exclusion witness by a full word scan -------
+
+def scan_polcom_exclusion_witness(om, max_len):
+    """First (u, v), each word taken by length then lexicographically, with
+    eval(u) idempotent, v holding u's letter counts and eval(u^w v u^w) not
+    below eval(u^w)."""
+    m = om.monoid
+    letters = sorted(m.generator_map)
+    words = ["".join(t) for n in range(1, max_len + 1)
+             for t in itertools.product(letters, repeat=n)]
+    for u in words:
+        eu = eval_word(m, u)
+        if m.mul(eu, eu) != eu:
+            continue
+        uw = m.power(eu, exponent(m))
+        for v in words:
+            if Counter(v) == Counter(u) and \
+                    not om.leq(m.mul(m.mul(uw, eval_word(m, v)), uw), uw):
+                return u, v
+    return None
+
+
+def test_polcom_witness_matches_scan_oracle():
+    l5, _, _ = syntactic_ordered_monoid(builtin_language("L5"))
+    assert find_polcom_exclusion_witness(l5) == \
+        scan_polcom_exclusion_witness(l5, 6) == ("abab", "bbaa")
+    checked = found = 0
+    for d in random_dfas(seed=20261018, count=200, states=(3, 5)):
+        try:
+            om, _, _ = syntactic_ordered_monoid(d, cap=60)
+        except CapError:
+            continue
+        want = scan_polcom_exclusion_witness(om, 4)
+        assert find_polcom_exclusion_witness(om, 4) == want, d
+        checked += 1
+        found += want is not None
+    assert checked >= 100 and found >= 10

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from regcc.automata import CcError, accepts, builtin_language
+from regcc.automata import EPSILON, CcError, accepts, builtin_language
 from regcc.classify import builtin_monoid
 from regcc.monoid import eval_word, find_tq, syntactic_ordered_monoid
 from regcc.reductions import (
@@ -11,6 +11,7 @@ from regcc.reductions import (
     lt_reduction, search_local_reduction_nonexistence, shuffle_reduction,
     tq_reduction, verify_reduction,
 )
+from regcc.reductions import _matrix_dfs, _v_candidates
 
 
 def flipped(r: LocalReduction) -> LocalReduction:
@@ -292,13 +293,53 @@ def test_nonexistence_pruned():
         assert rep.none_found
 
 
+def matrix_by_placement(u, v, slots):
+    """Oracle: place u on row 0 and v on row 1 in every way, unpruned, and
+    return the first pair of rows whose two mixed readings are both u."""
+    width = 2 * slots
+    for pos0 in itertools.combinations(range(width), len(u)):
+        row0 = [EPSILON] * width
+        for p, ch in zip(pos0, u):
+            row0[p] = ch
+        for pos1 in itertools.combinations(range(width), len(v)):
+            row1 = [EPSILON] * width
+            for p, ch in zip(pos1, v):
+                row1[p] = ch
+            word01 = "".join(row0[k] if k % 2 == 0 else row1[k]
+                             for k in range(width)).replace(EPSILON, "")
+            if word01 != u:
+                continue
+            word10 = "".join(row1[k] if k % 2 == 0 else row0[k]
+                             for k in range(width)).replace(EPSILON, "")
+            if word10 != u:
+                continue
+            return tuple(row0), tuple(row1)
+    return None
+
+
 def test_nonexistence_agrees_unpruned():
     pruned = search_local_reduction_nonexistence(s_max=1, pruned=True)
     unpruned = search_local_reduction_nonexistence(s_max=1, pruned=False)
-    brute = search_local_reduction_nonexistence(s_max=1, pruned=False, brute=True)
-    assert pruned.none_found == unpruned.none_found == brute.none_found is True
+    assert pruned.none_found == unpruned.none_found is True
     # the unpruned pool is genuinely nonempty, so the agreement is not vacuous
     assert all(count > 0 for _, count in unpruned.v_counts)
+
+
+def test_matrix_search_agrees_with_placement_oracle():
+    # every candidate (u, v) of the s_max=1 unpruned and relaxed searches
+    dfa = builtin_language("L5")
+    slots = 4
+    found = 0
+    for relaxed, pruned in ((False, False), (True, True)):
+        report = search_local_reduction_nonexistence(
+            s_max=1, relaxed=relaxed, pruned=pruned)
+        for u in report.u_words:
+            for v in _v_candidates(dfa, u, slots, relaxed, pruned):
+                exists = matrix_by_placement(u, v, slots) is not None
+                assert (_matrix_dfs(u, v, slots) is not None) == exists, (u, v)
+                found += exists
+    # the relaxed pool holds matrices, so both answers are exercised
+    assert found > 0
 
 
 def test_nonexistence_relaxed_inversion():
