@@ -15,6 +15,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .automata import EPSILON, CapError, CcError, Dfa, minimize
 
 MONOID_CAP = 5000
@@ -668,6 +670,58 @@ def _powers_map_onto(m: FiniteMonoid, x: int, n: FiniteMonoid, g: int) -> bool:
     return seen[px] == pg
 
 
+# words over the divisor's generators up to this length are evaluated for
+# every preimage tuple before it is closed
+_SCREEN_LEN = 3
+# preimage tuples screened per numpy block
+_SCREEN_BLOCK = 2048
+
+
+def _screened_blocks(m: FiniteMonoid, n: FiniteMonoid, candidates):
+    """Walk the product of ``candidates`` in lexicographic blocks.
+
+    For each tuple, every word of length <= _SCREEN_LEN over n's generators
+    is evaluated in m (letter i read as the tuple's i-th element) and in n.
+    Yields, per block, the tuples in product order on which no two words
+    agree in m but differ in n, with the count of distinct m-values of
+    their words.  Both words lie in the closure of the tuple, so a
+    dropped tuple has no division map, and the count is a lower bound on
+    its closure size.
+    """
+    gens = [g for _, g in n.generators]
+    # words breadth-first as (prefix word, last letter); word 0 is empty
+    words, n_values, frontier = [], [n.identity], [0]
+    for _ in range(_SCREEN_LEN):
+        grown = []
+        for w in frontier:
+            for i, g in enumerate(gens):
+                words.append((w, i))
+                n_values.append(n.mul(n_values[w], g))
+                grown.append(len(n_values) - 1)
+        frontier = grown
+    n_values = np.array(n_values, dtype=np.int32)
+    table = np.array(m.table, dtype=np.int32)
+    columns = [np.array(c, dtype=np.int32) for c in candidates]
+    total = math.prod(len(c) for c in candidates)
+    for start in range(0, total, _SCREEN_BLOCK):
+        rank = np.arange(start, min(start + _SCREEN_BLOCK, total))
+        tuples = np.empty((len(rank), len(gens)), dtype=np.int32)
+        for i in reversed(range(len(gens))):
+            rank, digit = np.divmod(rank, len(columns[i]))
+            tuples[:, i] = columns[i][digit]
+        m_values = np.empty((len(tuples), len(n_values)), dtype=np.int32)
+        m_values[:, 0] = m.identity
+        for j, (w, i) in enumerate(words, 1):
+            m_values[:, j] = table[m_values[:, w], tuples[:, i]]
+        # sorted (m-value, n-value) keys: an m-value with two n-values
+        # shows as equal neighbouring m-values with different keys
+        keys = np.sort(m_values.astype(np.int64) * n.size + n_values, axis=1)
+        tied = keys[:, 1:] // n.size == keys[:, :-1] // n.size
+        functional = ~(tied & (keys[:, 1:] != keys[:, :-1])).any(axis=1)
+        lower = len(n_values) - tied.sum(axis=1)
+        yield tuples[functional].tolist(), lower[functional].tolist()
+
+
 def divides(n_om: OrderedMonoid, m_om: OrderedMonoid):
     """Ordered-monoid division test: does n divide m?
 
@@ -676,15 +730,27 @@ def divides(n_om: OrderedMonoid, m_om: OrderedMonoid):
     by one preimage of each generator of n, so the search runs over tuples
     of preimages and closes each with ``division_map``.  A candidate
     preimage of g is an element x whose cyclic submonoid maps functionally
-    onto that of g.  For k generators that is at most |M|^k closures, each
-    O(|M| k) steps plus an O(|M|^2) order check, and a closure stops once
-    it grows past the best one found.
+    onto that of g.
+
+    The product of the candidate lists is screened in blocks
+    (``_screened_blocks``): a tuple is dropped when two words of length
+    <= 3 over n's generators agree in m but differ in n, or when the
+    number of distinct m-values of those words, a lower bound on its
+    closure size, exceeds the best closure found so far.  Survivors are
+    closed in ascending lower-bound order, and a closure stops once it
+    grows past the best one.  For k generators that is still up to |M|^k
+    tuples, each screened with O(k^3) table lookups; a closure costs
+    O(|M| k) steps plus an O(|M|^2) order check.
 
     Returns (bool, certificate) where the certificate is (preimages in the
     order of n's generators, element map, submonoid elements) for the
-    smallest submonoid, ties broken by its sorted elements.  Raises CcError
-    when n's generators do not generate n, since the search would then
-    miss every division.
+    least key (closure size, sorted closure elements, preimage tuple): the
+    smallest submonoid, and among equal ones the first tuple in product
+    order, whatever order the survivors are closed in.  The tie-break has
+    a cost: a survivor whose bound equals the best size is still closed
+    in full, since only a strictly larger closure can be cut short.
+    Raises CcError when n's generators do not generate n, since the
+    search would then miss every division.
     """
     n_m, m_m = n_om.monoid, m_om.monoid
     gens = [g for _, g in n_m.generators]
@@ -694,16 +760,20 @@ def divides(n_om: OrderedMonoid, m_om: OrderedMonoid):
     candidates = [[x for x in range(m_m.size) if _powers_map_onto(m_m, x, n_m, g)]
                   for g in gens]
     best = None
-    for preimages in itertools.product(*candidates):
-        image = division_map(n_om, m_om, preimages,
-                             limit=None if best is None else best[0][0])
-        if image is not None:
-            key = (len(image), sorted(image))
-            if best is None or key < best[0]:
-                best = key, preimages, image
+    for tuples, lower in _screened_blocks(m_m, n_m, candidates):
+        for row in sorted(range(len(tuples)), key=lower.__getitem__):
+            limit = None if best is None else best[0][0]
+            if limit is not None and lower[row] > limit:
+                break
+            preimages = tuple(tuples[row])
+            image = division_map(n_om, m_om, preimages, limit=limit)
+            if image is not None:
+                key = (len(image), sorted(image), preimages)
+                if best is None or key < best[0]:
+                    best = key, image
     if best is None:
         return False, None
-    _, preimages, image = best
+    (_, _, preimages), image = best
     return True, (preimages, image, frozenset(image))
 
 

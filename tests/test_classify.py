@@ -232,6 +232,21 @@ def test_certificate_replay_rejects_fakes():
         om, Certificate.make("shuffle", u="ab", w1="a", w2="b", v="ab"))
     assert not verify_certificate(
         om, Certificate.make("tq", q=2, e="ab", f="ba"))
+    assert verify_certificate(
+        om, Certificate.make("polcom_exclusion", u="ab", v="ba"))
+    # a is not idempotent
+    assert not verify_certificate(
+        om, Certificate.make("polcom_exclusion", u="a", v="a"))
+    # bb and aab are no rearrangements of ab, though all three words have
+    # one image in BA2's two-element commutative quotient
+    for v in ("bb", "aab"):
+        assert not verify_certificate(
+            om, Certificate.make("polcom_exclusion", u="ab", v=v))
+    # in Z3, a^w is the identity and a is not below it: only idempotence
+    # rejects u = a
+    z3, _, _ = syntactic_ordered_monoid(builtin_language("Z3_LANG"))
+    assert not verify_certificate(
+        z3, Certificate.make("polcom_exclusion", u="a", v="a"))
     with pytest.raises(CcError):
         verify_certificate(om, Certificate.make("sorcery"))
 

@@ -6,24 +6,29 @@ code: the order by context implication over all pairs of monoid elements,
 division by an exhaustive search over every submonoid and every
 surjective order-preserving morphism onto the divisor, and the witness by
 a scan over every pair of words up to the length bound.  All are
-exponential or cubic, so the random inputs are small and seeded.
+exponential or cubic, so the random inputs are small and seeded.  Beyond
+the exhaustive oracle's reach, division is checked against the unscreened
+search: one closure per tuple of candidate preimages, in product order.
 """
 
 import itertools
+import math
 import random
 from collections import Counter, deque
 from dataclasses import replace
 
 import pytest
 
+from regcc import monoid
 from regcc.automata import CapError, CcError, Dfa, builtin_language, minimize
 from regcc.classify import (
     Certificate, builtin_monoid, classify_nondet,
     find_polcom_exclusion_witness, verify_certificate,
 )
 from regcc.monoid import (
-    FiniteMonoid, OrderedMonoid, StableOrder, divides, division_map,
-    eval_word, exponent, syntactic_ordered_monoid, transition_monoid,
+    FiniteMonoid, OrderedMonoid, StableOrder, _powers_map_onto,
+    commutative_quotient, divides, division_map, eval_word, exponent,
+    syntactic_ordered_monoid, transition_monoid,
 )
 
 
@@ -200,6 +205,122 @@ def test_divides_matches_exhaustive_oracle():
     assert dividing >= 10
 
 
+# --- oracle: one closure per tuple of candidate preimages -------------------
+
+def candidate_lists(n_om, m_om):
+    return [[x for x in range(m_om.size)
+             if _powers_map_onto(m_om.monoid, x, n_om.monoid, g)]
+            for _, g in n_om.monoid.generators]
+
+
+def product_divides(n_om, m_om):
+    """The division search without its screen: every tuple of candidate
+    preimages closed in product order, the least (closure size, sorted
+    closure) kept and the first tuple on ties."""
+    best = None
+    for preimages in itertools.product(*candidate_lists(n_om, m_om)):
+        image = division_map(n_om, m_om, preimages,
+                             limit=None if best is None else best[0][0])
+        if image is not None:
+            key = (len(image), sorted(image))
+            if best is None or key < best[0]:
+                best = key, preimages, image
+    if best is None:
+        return False, None
+    _, preimages, image = best
+    return True, (preimages, image, frozenset(image))
+
+
+def product_rank(n_om, m_om, preimages):
+    """Position of a preimage tuple in the product of the candidate lists."""
+    rank = 0
+    for column, x in zip(candidate_lists(n_om, m_om), preimages):
+        rank = rank * len(column) + column.index(x)
+    return rank
+
+
+def random_monoids(seed, count, sizes, alphabet_size=None):
+    """Relabelled syntactic monoids of seeded random DFAs, |M| in ``sizes``."""
+    rng = random.Random(seed)
+    for d in random_dfas(seed=seed, count=count, states=(3, 5)):
+        if alphabet_size is not None and len(d.alphabet) != alphabet_size:
+            continue
+        try:
+            om, _, _ = syntactic_ordered_monoid(d, cap=sizes[1] + 1)
+        except CapError:
+            continue
+        if om.size >= sizes[0]:
+            yield relabeled(om, rng)
+
+
+def test_divides_matches_product_oracle_beyond_twelve():
+    divisors = [builtin_monoid(name)[0] for name in ("BA2_PLUS", "U_PLUS")] + [Z2]
+    monoids = list(random_monoids(20261019, 300, (13, 80)))
+    assert len(monoids) >= 80
+    dividing = 0
+    for m_om in monoids:
+        for n_om in divisors:
+            got = divides(n_om, m_om)
+            assert got == product_divides(n_om, m_om), m_om.size
+            dividing += got[0]
+    assert 100 <= dividing < 3 * len(monoids)
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_divides_matches_product_oracle_in_small_blocks(monkeypatch, block):
+    # tiny blocks carry the best closure, and its lower-bound cut, across
+    # many blocks of the |M| <= 12 cases
+    monkeypatch.setattr(monoid, "_SCREEN_BLOCK", block)
+    for n_om, m_om in division_cases():
+        assert divides(n_om, m_om) == product_divides(n_om, m_om)
+
+
+# two constant maps and the swap of two states, one generator each: the
+# screen evaluates 40 words per tuple of three preimages
+THREE_GENERATORS, _, _ = syntactic_ordered_monoid(
+    Dfa.make("abc", 2, 0, {0}, {"a": [0, 0], "b": [1, 1], "c": [1, 0]}))
+
+
+def test_divides_three_generator_divisor():
+    assert [g for _, g in THREE_GENERATORS.monoid.generators] == [1, 2, 3]
+    verdicts = []
+    for m_om in random_monoids(99, 600, (1, 40), alphabet_size=3):
+        got = divides(THREE_GENERATORS, m_om)
+        assert got == product_divides(THREE_GENERATORS, m_om), m_om.size
+        if m_om.size <= 12:
+            ok, closure = exhaustive_divides(THREE_GENERATORS, m_om)
+            assert got[0] == ok and (not ok or got[1][2] == closure)
+        verdicts.append(got[0])
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+
+
+def test_divides_generator_without_candidates():
+    # Z2 x U1: g generates the group part, h is the idempotent zero of U1;
+    # in the group Z2 only g has a candidate preimage
+    table = tuple(tuple((x & 1 ^ y & 1) | (x | y) & 2 for y in range(4))
+                  for x in range(4))
+    z2_u1 = OrderedMonoid(
+        FiniteMonoid(4, 0, table, ("", "g", "h", "gh"), (("g", 1), ("h", 2))),
+        StableOrder.equality(4))
+    z2_u1.monoid.validate()
+    assert candidate_lists(z2_u1, Z2) == [[1], []]
+    assert divides(z2_u1, Z2) == (False, None)
+
+
+def test_divides_across_blocks():
+    u_plus, _ = builtin_monoid("U_PLUS")
+    multi_block = later_block = 0
+    for m_om in random_monoids(20261019, 150, (100, 200)):
+        if math.prod(map(len, candidate_lists(u_plus, m_om))) <= monoid._SCREEN_BLOCK:
+            continue
+        multi_block += 1
+        got = divides(u_plus, m_om)
+        assert got == product_divides(u_plus, m_om), m_om.size
+        if got[0] and product_rank(u_plus, m_om, got[1][0]) >= monoid._SCREEN_BLOCK:
+            later_block += 1
+    assert multi_block >= 5 and later_block >= 1
+
+
 # --- certificates and divisors ---------------------------------------------
 
 def test_division_certificate_replays_its_preimages():
@@ -277,10 +398,20 @@ def scan_polcom_exclusion_witness(om, max_len):
     return None
 
 
+def commutative_quotient_condition(om, u, v):
+    """u and v have one image in the maximal commutative quotient, and that
+    image is idempotent."""
+    m = om.monoid
+    quotient, proj = commutative_quotient(m)
+    pu = proj(eval_word(m, u))
+    return proj(eval_word(m, v)) == pu and quotient.mul(pu, pu) == pu
+
+
 def test_polcom_witness_matches_scan_oracle():
     l5, _, _ = syntactic_ordered_monoid(builtin_language("L5"))
     assert find_polcom_exclusion_witness(l5) == \
         scan_polcom_exclusion_witness(l5, 6) == ("abab", "bbaa")
+    assert commutative_quotient_condition(l5, "abab", "bbaa")
     checked = found = 0
     for d in random_dfas(seed=20261018, count=200, states=(3, 5)):
         try:
@@ -290,5 +421,7 @@ def test_polcom_witness_matches_scan_oracle():
         want = scan_polcom_exclusion_witness(om, 4)
         assert find_polcom_exclusion_witness(om, 4) == want, d
         checked += 1
-        found += want is not None
+        if want is not None:
+            found += 1
+            assert commutative_quotient_condition(om, *want), d
     assert checked >= 100 and found >= 10
