@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .automata import CcError, Dfa, builtin_language
 from .monoid import (
     FiniteMonoid, OrderedMonoid, divides, division_map,
-    eval_word, exponent, find_tq, nonabelian_subgroup_witness,
+    eval_word, find_tq, nonabelian_subgroup_witness,
     syntactic_ordered_monoid, transition_monoid,
 )
 # not called here (nonabelian_subgroup_witness walks the subgroups); kept
@@ -117,29 +117,11 @@ def builtin_monoid(name: str, q: int | None = None):
 # ---------------------------------------------------------------------------
 # witness searches
 
-def _generator_words(m: FiniteMonoid, lo: int, hi: int):
+def _generator_words(m: FiniteMonoid, max_len: int):
     letters = sorted(m.generator_map)
-    for n in range(lo, hi + 1):
+    for n in range(1, max_len + 1):
         for tup in itertools.product(letters, repeat=n):
             yield "".join(tup)
-
-
-def _rearrangements(word: str):
-    """Distinct rearrangements of ``word`` in lexicographic order: the words
-    with its letter counts, in the order ``_generator_words`` meets them."""
-    letters = sorted(word)
-    while True:
-        yield "".join(letters)
-        i = len(letters) - 2
-        while i >= 0 and letters[i] >= letters[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(letters) - 1
-        while letters[j] <= letters[i]:
-            j -= 1
-        letters[i], letters[j] = letters[j], letters[i]
-        letters[i + 1:] = reversed(letters[i + 1:])
 
 
 def is_shuffle(v: str, w1: str, w2: str) -> bool:
@@ -155,43 +137,86 @@ def is_shuffle(v: str, w1: str, w2: str) -> bool:
     return (len(w1), len(w2)) in reach
 
 
-def shuffles(w1: str, w2: str):
-    """All distinct interleavings, first-word-first deterministic order."""
-    seen = set()
+def _idempotent_words(om: OrderedMonoid, max_len: int):
+    """(u, G) for each word u of length 1..max_len, by length and then
+    lexicographically, whose value e is idempotent and whose G is not
+    empty.  G, memoized per e, holds the elements y with e*y*e not below
+    e: a word v completes a witness for u iff eval(v) is in G."""
+    if max_len > MAX_WITNESS_LEN:
+        raise CcError("witness length capped at %d" % MAX_WITNESS_LEN)
+    m = om.monoid
+    table = m.table
+    failing = {}
+    for u in _generator_words(m, max_len):
+        e = eval_word(m, u)
+        if table[e][e] != e:
+            continue
+        if e not in failing:
+            failing[e] = frozenset(y for y in range(m.size)
+                                   if not om.leq(table[table[e][y]][e], e))
+        if failing[e]:
+            yield u, failing[e]
 
-    def rec(i, j, acc):
-        if i == len(w1) and j == len(w2):
-            if acc not in seen:
-                seen.add(acc)
-                yield acc
-            return
-        if i < len(w1):
-            yield from rec(i + 1, j, acc + w1[i])
-        if j < len(w2):
-            yield from rec(i, j + 1, acc + w2[j])
 
-    yield from rec(0, 0, "")
+def _meets(om: OrderedMonoid, p: int, values, failing) -> bool:
+    """True iff p*s lies in ``failing`` for some s in ``values``."""
+    row = om.monoid.table[p]
+    return any(row[s] in failing for s in values)
 
 
 def find_shuffle_witness(om: OrderedMonoid, max_len: int = DEFAULT_WITNESS_LEN):
     """First (u, w1, w2, v) in canonical order with u = w1 w2, v a shuffle
-    of w1 and w2, eval(u) idempotent, and eval(u v u) not below eval(u)."""
-    if max_len > MAX_WITNESS_LEN:
-        raise CcError("witness length capped at %d" % MAX_WITNESS_LEN)
+    of w1 and w2, eval(u) idempotent, and eval(u v u) not below eval(u).
+
+    The canonical order takes u by length then lexicographically, the
+    split point i of u = w1 w2 upwards, and v in the first-word-first
+    order of the interleavings: at each step, w1's next letter before
+    w2's.  Splits 0 and |u| give v = u, and e*e*e = e is below e, so they
+    are never tried.
+
+    No interleaving is listed.  V(x, y), the set of values of all
+    interleavings of the words x and y, is memoized for the whole search:
+    V(x, '') = V('', x) = {eval(x)} and V(x, y) = g(x0)*V(x[1:], y) union
+    g(y0)*V(x, y[1:]).  With G(e) from ``_idempotent_words``, a split is
+    skipped when V(w1, w2) misses G(e).  Otherwise v is walked out with a
+    prefix value p, taking w1's next letter g whenever p*g*V(rest) meets
+    G(e), else w2's: that is the first succeeding leaf of the
+    first-word-first walk.  Equal interleavings have one value, so the
+    walk returns the same v whether or not duplicates are skipped.
+    """
     m = om.monoid
-    for u in _generator_words(m, 1, max_len):
-        eu = eval_word(m, u)
-        if m.mul(eu, eu) != eu:
-            continue
-        for i in range(len(u) + 1):
-            w1, w2 = u[:i], u[i:]
-            for v in shuffles(w1, w2):
-                x = m.mul(m.mul(eu, eval_word(m, v)), eu)
-                if not om.leq(x, eu):
-                    witness = (u, w1, w2, v)
-                    if not _replay_shuffle(om, *witness):
-                        raise CcError("shuffle witness %r fails its replay" % (witness,))
-                    return witness
+    table, gens = m.table, m.generator_map
+    values = {}
+
+    def interleaved(x, y):
+        found = values.get((x, y))
+        if found is None:
+            if not x or not y:
+                found = frozenset((eval_word(m, x + y),))
+            else:
+                gx, gy = table[gens[x[0]]], table[gens[y[0]]]
+                found = frozenset([gx[s] for s in interleaved(x[1:], y)] +
+                                  [gy[s] for s in interleaved(x, y[1:])])
+            values[x, y] = found
+        return found
+
+    for u, g in _idempotent_words(om, max_len):
+        for split in range(1, len(u)):
+            w1, w2 = u[:split], u[split:]
+            if interleaved(w1, w2).isdisjoint(g):
+                continue
+            v, p, i, j = "", m.identity, 0, 0
+            while i < len(w1) or j < len(w2):
+                if i < len(w1):
+                    q = table[p][gens[w1[i]]]
+                    if _meets(om, q, interleaved(w1[i + 1:], w2[j:]), g):
+                        v, p, i = v + w1[i], q, i + 1
+                        continue
+                v, p, j = v + w2[j], table[p][gens[w2[j]]], j + 1
+            witness = (u, w1, w2, v)
+            if not _replay_shuffle(om, *witness):
+                raise CcError("shuffle witness %r fails its replay" % (witness,))
+            return witness
     return None
 
 
@@ -215,32 +240,66 @@ def find_polcom_exclusion_witness(om: OrderedMonoid,
     a commutative monoid, which is the hypothesis under which membership
     would force eval(u^w v u^w) <= eval(u^w).  A pair with
     eval(u^w v u^w) not below eval(u^w) therefore excludes membership.
-    Equal letter counts force equal length, so v runs over the
-    rearrangements of u.
+    Since eval(u) is idempotent, eval(u^w) = eval(u), so the test is
+    eval(u v u) not below eval(u) and the monoid's exponent is never
+    computed.  Equal letter counts force equal length, so v runs over the
+    rearrangements of u in lexicographic order.
+
+    No rearrangement is listed.  W(c), the set of values of the words
+    with letter counts c, is memoized for the whole search: W(0) = {1} and
+    W(c) is the union over letters a with c_a > 0 of g_a*W(c - e_a).  With
+    G(e) from ``_idempotent_words``, u is skipped when W(counts of u) misses
+    G(e); otherwise v is walked out with a prefix value p, taking at each
+    step the least letter a with p*g_a*W(c - e_a) meeting G(e): that is
+    the lexicographically first rearrangement that succeeds.
     """
-    if max_len > MAX_WITNESS_LEN:
-        raise CcError("witness length capped at %d" % MAX_WITNESS_LEN)
     m = om.monoid
-    omega = exponent(m)
-    for u in _generator_words(m, 1, max_len):
-        eu = eval_word(m, u)
-        if m.mul(eu, eu) != eu:
+    table = m.table
+    letters = sorted(m.generator_map)
+    gens = [m.generator_map[a] for a in letters]
+    values = {}
+
+    def rearranged(counts):
+        found = values.get(counts)
+        if found is None:
+            if not any(counts):
+                found = frozenset((m.identity,))
+            else:
+                found = frozenset(
+                    table[gens[k]][s] for k in range(len(gens)) if counts[k]
+                    for s in rearranged(_spend(counts, k)))
+            values[counts] = found
+        return found
+
+    for u, g in _idempotent_words(om, max_len):
+        counts = tuple(map(u.count, letters))
+        if rearranged(counts).isdisjoint(g):
             continue
-        uw = m.power(eu, omega)
-        for v in _rearrangements(u):
-            x = m.mul(m.mul(uw, eval_word(m, v)), uw)
-            if not om.leq(x, uw):
-                if not _replay_polcom(om, u, v):
-                    raise CcError("polcom witness %r fails its replay" % ((u, v),))
-                return u, v
+        v, p = "", m.identity
+        while any(counts):
+            held = [k for k, c in enumerate(counts) if c]
+            # some held letter succeeds, so the last one needs no check
+            k = next((k for k in held[:-1]
+                      if _meets(om, table[p][gens[k]], rearranged(_spend(counts, k)), g)),
+                     held[-1])
+            v, p, counts = v + letters[k], table[p][gens[k]], _spend(counts, k)
+        if not _replay_polcom(om, u, v):
+            raise CcError("polcom witness %r fails its replay" % ((u, v),))
+        return u, v
     return None
+
+
+def _spend(counts, k):
+    """``counts`` with one fewer of letter k."""
+    return counts[:k] + (counts[k] - 1,) + counts[k + 1:]
 
 
 def _replay_polcom(om, u, v):
     """The search's hypotheses, checked directly: v is a rearrangement of
-    u, eval(u) is idempotent, and eval(u^w v u^w) is not below eval(u^w).
-    Equal letter counts give u and v equal images under every morphism to
-    a commutative monoid, and an idempotent maps to an idempotent, so no
+    u, eval(u) is idempotent, and eval(u^w v u^w) is not below eval(u^w),
+    where eval(u^w) = eval(u) because eval(u) is idempotent.  Equal letter
+    counts give u and v equal images under every morphism to a
+    commutative monoid, and an idempotent maps to an idempotent, so no
     commutative quotient needs to be built."""
     m = om.monoid
     if sorted(u) != sorted(v):
@@ -248,8 +307,7 @@ def _replay_polcom(om, u, v):
     eu = eval_word(m, u)
     if m.mul(eu, eu) != eu:
         return False
-    uw = m.power(eu, exponent(m))
-    return not om.leq(m.mul(m.mul(uw, eval_word(m, v)), uw), uw)
+    return not om.leq(m.mul(m.mul(eu, eval_word(m, v)), eu), eu)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ accepting set is an order ideal.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import deque
@@ -47,8 +48,10 @@ class FiniteMonoid:
             p = self.table[p][x]
         return p
 
-    @property
+    @functools.cached_property
     def generator_map(self) -> dict[str, int]:
+        """Letter -> generator element, built once per monoid; callers only
+        read it."""
         return dict(self.generators)
 
     def idempotents(self) -> list[int]:
@@ -158,10 +161,15 @@ class MonoidMorphism:
 
 def _transition_closure(d: Dfa, cap: int):
     """BFS closure of the state maps of ``d`` under right multiplication by
-    letters.
+    letters (the right Cayley graph, as in Froidure and Pin's method).
 
     Returns (monoid, letter morphism, state maps).  Discovery order is by
     word length then letter order, so names are canonical shortest words.
+    The closure records each element's right product by every letter and
+    the (parent, letter) that discovered it.  Element y = parent * a gives
+    x * y = (x * parent) * a, so column y of the table is the letter-a
+    product of column ``parent``: one array gather per element, O(|M|^2)
+    with no |Q| factor.
     """
     actions = {a: tuple(d.moves[k]) for k, a in enumerate(d.alphabet)}
     identity = tuple(range(d.state_count))
@@ -169,6 +177,8 @@ def _transition_closure(d: Dfa, cap: int):
     transforms = [identity]
     names = [""]
     letters = sorted(actions)
+    right = {a: [] for a in letters}
+    parents = [(0, None)]
     queue = deque([0])
     while queue:
         i = queue.popleft()
@@ -182,14 +192,23 @@ def _transition_closure(d: Dfa, cap: int):
                 index[nt] = len(transforms)
                 transforms.append(nt)
                 names.append(names[i] + a)
+                parents.append((i, a))
                 queue.append(index[nt])
+            right[a].append(index[nt])
     gens = {a: index[actions[a]] for a in letters}
-    table = tuple(
-        tuple(index[tuple(u[s] for s in t)] for u in transforms)
-        for t in transforms
-    )
-    m = FiniteMonoid(len(transforms), 0, table, tuple(names),
-                     tuple(sorted(gens.items())))
+    n = len(transforms)
+    right = {a: np.array(r, dtype=np.int32) for a, r in right.items()}
+    # columns[y] is column y of the table; parents precede their children
+    columns = np.empty((n, n), dtype=np.int32)
+    columns[0] = np.arange(n)
+    for y in range(1, n):
+        parent, a = parents[y]
+        columns[y] = right[a][columns[parent]]
+    # read row by row through an object array, the rows share one int
+    # object per element instead of holding |M|^2 distinct ones
+    elements = np.array(range(n), dtype=object)
+    table = tuple(tuple(elements[row].tolist()) for row in columns.T)
+    m = FiniteMonoid(n, 0, table, tuple(names), tuple(sorted(gens.items())))
     return m, gens, transforms
 
 
@@ -225,31 +244,33 @@ def syntactic_ordered_monoid(d: Dfa, cap: int = MONOID_CAP):
     has p*x*q accepting.  In the minimal automaton every state s is reached
     by some prefix p, so this holds iff the language accepted from y(s) is
     contained in the one accepted from x(s) for every state s.  The state
-    inclusions are a greatest fixpoint over state pairs, and the comparisons
-    cost O(|M|^2 |Q|), the same as the multiplication table.
+    inclusions are a greatest fixpoint over state pairs.  With the state
+    maps as an |M| x |Q| array T, row x of the order is
+    ``incl[T, T[x]].all(axis=1)``: O(|M|^2 |Q|) comparisons, done as one
+    array operation per row.
     Returns (ordered monoid, letter morphism, accepting order ideal).
     """
     dmin = minimize(d)
     m, gens, transforms = _transition_closure(dmin, cap)
-    incl = _state_inclusion(dmin)
-    states = range(dmin.state_count)
-    leq = tuple(
-        tuple(all(incl[ty[s]][tx[s]] for s in states) for ty in transforms)
-        for tx in transforms
-    )
-    order = StableOrder(leq)
+    incl = np.array(_state_inclusion(dmin), dtype=bool)
+    maps = np.array(transforms, dtype=np.intp)
+    leq = np.empty((m.size, m.size), dtype=bool)
+    for x, tx in enumerate(maps):
+        leq[x] = incl[maps, tx].all(axis=1)
+    order = StableOrder(tuple(tuple(row.tolist()) for row in leq))
     members = frozenset(i for i, t in enumerate(transforms)
                         if t[dmin.initial] in dmin.accepting)
-    ideal = OrderIdeal(members, _maximal_elements(order, members))
+    ideal = OrderIdeal(members, _maximal_elements(leq, members))
     return OrderedMonoid(m, order), gens, ideal
 
 
-def _maximal_elements(order: StableOrder, members) -> tuple[int, ...]:
-    out = []
-    for x in sorted(members):
-        if not any(y != x and order.leq[x][y] for y in members):
-            out.append(x)
-    return tuple(out)
+def _maximal_elements(leq, members) -> tuple[int, ...]:
+    """Members below no other member, ascending; ``leq`` is the order as
+    a boolean matrix (nested tuples or an array)."""
+    members = np.array(sorted(members), dtype=np.intp)
+    above = np.asarray(leq, dtype=bool)[np.ix_(members, members)]
+    np.fill_diagonal(above, False)
+    return tuple(members[~above.any(axis=1)].tolist())
 
 
 def ideal_generated(om: OrderedMonoid, gens) -> OrderIdeal:
@@ -259,7 +280,7 @@ def ideal_generated(om: OrderedMonoid, gens) -> OrderIdeal:
             raise CcError("ideal generator %d out of range" % g)
     members = frozenset(x for x in range(om.size)
                         if any(om.leq(x, g) for g in gens))
-    return OrderIdeal(members, _maximal_elements(om.order, members))
+    return OrderIdeal(members, _maximal_elements(om.order.leq, members))
 
 
 def is_order_ideal(om: OrderedMonoid, members) -> bool:

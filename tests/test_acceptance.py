@@ -17,7 +17,7 @@ from regcc.cli import main
 from regcc.commcc import (
     RectangleMeasure, builtin_function, exact_deterministic_cc,
     max_fooling_set, max_rectangle_measure, min_cover, min_disjoint_cover,
-    monoid_problem, serialize_tree, simulate_cover_protocol,
+    monoid_problem, serialize_cover, serialize_tree, simulate_cover_protocol,
     validate_disjoint_cover,
 )
 from regcc.monoid import eval_word, ideal_generated, syntactic_ordered_monoid
@@ -111,12 +111,14 @@ def _builtins_at(n):
 def test_criterion_06_sandwich_inequalities():
     with criterion(6, "fooling <= C^z <= C^D; D vs log C^D and cover product"):
         trees = hashlib.sha256()
+        disjoint_covers = hashlib.sha256()
         for n in (1, 2, 3):
             for f in _builtins_at(n):
                 d, tree = exact_deterministic_cc(f)
                 trees.update(serialize_tree(tree).encode())
                 cd, cover = min_disjoint_cover(f)
                 validate_disjoint_cover(f, cover)
+                disjoint_covers.update(serialize_cover(f, cd, cover).encode())
                 covers = {}
                 for z in (0, 1):
                     if f.count(z) == 0:
@@ -132,6 +134,11 @@ def test_criterion_06_sandwich_inequalities():
         # the protocol trees of all 27 functions, pinned byte for byte
         assert trees.hexdigest() == \
             "0563eb2321cfce8cfefa7480ac81e544235abc2510d584a02c02465a370a50d4"
+        # and their minimum disjoint covers: on promise inputs the printed
+        # cover is the optimal vertex HiGHS returns, so a solver upgrade
+        # that changes one fails here
+        assert disjoint_covers.hexdigest() == \
+            "37c3196fc0a556ccc7156ad1f9d44e8e0001c86b15806a5deb247aa84e1dec13"
 
 
 def test_criterion_07_ba2_plus_structure():

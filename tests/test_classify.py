@@ -4,7 +4,7 @@ from regcc.automata import CcError, builtin_language
 from regcc.classify import (
     BUILTIN_MONOID_NAMES, Certificate, builtin_monoid, classify_nondet,
     find_polcom_exclusion_witness, find_shuffle_witness, is_shuffle,
-    serialize_classification, shuffles, verify_certificate,
+    serialize_classification, verify_certificate,
 )
 from regcc.monoid import (
     check_property, eval_word, find_tq, maximal_subgroups,
@@ -25,15 +25,6 @@ def test_is_shuffle_basics():
     assert not is_shuffle("bbaa", "ab", "ab")
     assert not is_shuffle("aab", "ab", "ab")
     assert is_shuffle("", "", "")
-
-
-def test_shuffles_enumeration():
-    assert list(shuffles("a", "b")) == ["ab", "ba"]
-    assert set(shuffles("ab", "ab")) == {"aabb", "abab"}
-    assert set(shuffles("ab", "ba")) == {"abba", "abab", "baab", "baba"}
-    for w1, w2 in (("ab", "ba"), ("a", "bb")):
-        for v in shuffles(w1, w2):
-            assert is_shuffle(v, w1, w2)
 
 
 # --- witness searches -----------------------------------------------------------

@@ -343,6 +343,20 @@ def test_min_cover_matches_brute_oracle():
         assert min_cover(f, z)[0] == brute_min_cover(f, z), (name, n, z)
 
 
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(matrices("01*", 4, 4), st.sampled_from((0, 1)))
+def test_min_cover_matches_brute_oracle_on_random_matrices(rows, z):
+    f = as_function(rows)
+    assume(f.count(z) > 0)
+    count, cover = min_cover(f, z)
+    assert count == len(cover.rectangles) == brute_min_cover(f, z)
+    covered = set()
+    for r in cover.rectangles:
+        assert monochromatic_color(f, r, vacuous=z) == z
+        covered.update(r.cells())
+    assert set(f.z_cells(z)) <= covered
+
+
 def test_min_cover_neq_frozen():
     # value recorded from the exhaustive oracle
     f = builtin_function("NEQ", 2)
@@ -485,6 +499,17 @@ def test_fooling_matches_brute_oracle():
                        ("NEQ", 2, 1), ("LT", 2, 0)):
         f = builtin_function(name, n)
         assert len(max_fooling_set(f, z)) == brute_max_fooling(f, z), (name, n, z)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(matrices("01*", 4, 4), st.sampled_from((0, 1)))
+def test_max_fooling_set_matches_brute_oracle_on_random_matrices(rows, z):
+    f = as_function(rows)
+    cells = max_fooling_set(f, z)
+    assert len(cells) == brute_max_fooling(f, z)
+    assert all(f.value(x, y) == z for x, y in cells)
+    for (x1, y1), (x2, y2) in itertools.combinations(cells, 2):
+        assert f.value(x1, y2) == 1 - z or f.value(x2, y1) == 1 - z
 
 
 def test_fooling_set_is_valid():

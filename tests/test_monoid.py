@@ -200,6 +200,17 @@ def test_eval_word_epsilon(ba2):
         eval_word(om, "z")
 
 
+def test_generator_map_built_once(ba2):
+    om, _, _ = ba2
+    m = om.monoid
+    assert m.generator_map is m.generator_map
+    assert m.generator_map == dict(m.generators) == {"a": 1, "b": 2}
+    # cached on the instance: equality and hashing still go by the fields
+    assert m == FiniteMonoid(m.size, m.identity, m.table, m.names, m.generators)
+    assert hash(m) == hash(FiniteMonoid(m.size, m.identity, m.table, m.names,
+                                        m.generators))
+
+
 def test_eval_term_omega(ba2):
     om, _, _ = ba2
     m = om.monoid
@@ -431,10 +442,13 @@ def test_ideal_generated(ba2):
     m = om.monoid
     whole = ideal_generated(om, range(m.size))
     assert whole.members == frozenset(range(m.size))
+    assert whole.generating == (eval_word(m, "aa"),)
     z3 = cyclic(3)
     assert ideal_generated(z3, [1]).members == frozenset({1})
     ab = eval_word(m, "ab")
     assert ideal_generated(om, [ab]).members == frozenset({m.identity, ab})
+    assert ideal_generated(om, [ab]).generating == (ab,)
+    assert ideal_generated(z3, []).generating == ()
 
 
 def test_serialize_monoid(ba2):

@@ -1,14 +1,17 @@
-"""Differential tests of the syntactic order, of ordered division and of
-the polynomial-closure exclusion witness.
+"""Differential tests of the multiplication table, the syntactic order,
+ordered division and the shuffle and polynomial-closure exclusion
+witnesses.
 
 The reference oracles are the direct definitions, kept here as test-only
-code: the order by context implication over all pairs of monoid elements,
-division by an exhaustive search over every submonoid and every
-surjective order-preserving morphism onto the divisor, and the witness by
-a scan over every pair of words up to the length bound.  All are
-exponential or cubic, so the random inputs are small and seeded.  Beyond
-the exhaustive oracle's reach, division is checked against the unscreened
-search: one closure per tuple of candidate preimages, in product order.
+code: the table by composing every pair of state maps, the order by
+comparing state maps through the state inclusions and again by context
+implication over all pairs of monoid elements, division by an exhaustive
+search over every submonoid and every surjective order-preserving
+morphism onto the divisor, and the witnesses by scans over every word
+(and every interleaving) up to the length bound.  All are exponential or
+cubic, so the random inputs are small and seeded.  Beyond the exhaustive
+oracle's reach, division is checked against the unscreened search: one
+closure per tuple of candidate preimages, in product order.
 """
 
 import itertools
@@ -23,12 +26,13 @@ from regcc import monoid
 from regcc.automata import CapError, CcError, Dfa, builtin_language, minimize
 from regcc.classify import (
     Certificate, builtin_monoid, classify_nondet,
-    find_polcom_exclusion_witness, verify_certificate,
+    find_polcom_exclusion_witness, find_shuffle_witness, is_shuffle,
+    verify_certificate,
 )
 from regcc.monoid import (
     FiniteMonoid, OrderedMonoid, StableOrder, _powers_map_onto,
-    commutative_quotient, divides, division_map, eval_word, exponent,
-    syntactic_ordered_monoid, transition_monoid,
+    OrderIdeal, commutative_quotient, divides, division_map, eval_word,
+    exponent, syntactic_ordered_monoid, transition_monoid,
 )
 
 
@@ -74,6 +78,85 @@ def test_order_matches_context_oracle():
         assert om.order.leq == context_order(d), d
         checked += 1
     assert checked >= 300
+
+
+# --- oracle: table by composing state maps, order by state inclusions ------
+
+def composed_closure(d, cap=monoid.MONOID_CAP):
+    """The transition monoid of ``d`` with every table entry found by
+    composing two state maps and looking the result up; returns (monoid,
+    state maps)."""
+    actions = {a: tuple(d.moves[k]) for k, a in enumerate(d.alphabet)}
+    identity = tuple(range(d.state_count))
+    index = {identity: 0}
+    transforms, names = [identity], [""]
+    queue = deque([0])
+    while queue:
+        i = queue.popleft()
+        for a in sorted(actions):
+            nt = tuple(actions[a][s] for s in transforms[i])
+            if nt not in index:
+                if len(transforms) >= cap:
+                    raise CapError("over the cap")
+                index[nt] = len(transforms)
+                transforms.append(nt)
+                names.append(names[i] + a)
+                queue.append(index[nt])
+    table = tuple(tuple(index[tuple(u[s] for s in t)] for u in transforms)
+                  for t in transforms)
+    gens = tuple(sorted((a, index[action]) for a, action in actions.items()))
+    return FiniteMonoid(len(transforms), 0, table, tuple(names), gens), transforms
+
+
+def composed_ordered_monoid(d, cap=monoid.MONOID_CAP):
+    """(ordered monoid, accepting ideal) of the minimal DFA of ``d``, the
+    order compared state by state through the state inclusions."""
+    dmin = minimize(d)
+    m, transforms = composed_closure(dmin, cap)
+    incl = monoid._state_inclusion(dmin)
+    states = range(dmin.state_count)
+    leq = tuple(tuple(all(incl[ty[s]][tx[s]] for s in states) for ty in transforms)
+                for tx in transforms)
+    members = frozenset(i for i, t in enumerate(transforms)
+                        if t[dmin.initial] in dmin.accepting)
+    maximal = tuple(x for x in sorted(members)
+                    if not any(y != x and leq[x][y] for y in members))
+    return OrderedMonoid(m, StableOrder(leq)), OrderIdeal(members, maximal)
+
+
+def test_table_and_order_match_composition_oracle():
+    checked = 0
+    for d in random_dfas(seed=20261020, count=240, states=(2, 6)):
+        try:
+            want = composed_closure(d, cap=300)[0]
+        except CapError:
+            with pytest.raises(CapError):
+                transition_monoid(d, cap=300)
+        else:
+            assert transition_monoid(d, cap=300)[0] == want, d
+        try:
+            om, gens, ideal = syntactic_ordered_monoid(d, cap=300)
+        except CapError:
+            continue
+        assert (om, ideal) == composed_ordered_monoid(d), d
+        assert gens == dict(om.monoid.generators)
+        checked += 1
+    assert checked >= 200
+
+
+def seeded_binary_dfa(seed, states):
+    rng = random.Random(seed)
+    return Dfa.make("ab", states, 0, {s for s in range(states) if rng.random() < 0.5},
+                    {a: [rng.randrange(states) for _ in range(states)] for a in "ab"})
+
+
+def test_table_and_order_match_composition_oracle_beyond_a_thousand():
+    d = seeded_binary_dfa(186, 7)
+    om, _, ideal = syntactic_ordered_monoid(d)
+    assert om.size == 1011
+    assert (om, ideal) == composed_ordered_monoid(d)
+    # one int object per element, as in a table built from the index dict
+    assert len({id(x) for row in om.monoid.table for x in row}) == om.size
 
 
 # --- oracle: exhaustive ordered division -----------------------------------
@@ -386,13 +469,14 @@ def scan_polcom_exclusion_witness(om, max_len):
     letters = sorted(m.generator_map)
     words = ["".join(t) for n in range(1, max_len + 1)
              for t in itertools.product(letters, repeat=n)]
+    counts = {w: Counter(w) for w in words}
     for u in words:
         eu = eval_word(m, u)
         if m.mul(eu, eu) != eu:
             continue
         uw = m.power(eu, exponent(m))
         for v in words:
-            if Counter(v) == Counter(u) and \
+            if counts[v] == counts[u] and \
                     not om.leq(m.mul(m.mul(uw, eval_word(m, v)), uw), uw):
                 return u, v
     return None
@@ -407,17 +491,22 @@ def commutative_quotient_condition(om, u, v):
     return proj(eval_word(m, v)) == pu and quotient.mul(pu, pu) == pu
 
 
+def small_monoids(seed, count):
+    """Syntactic monoids of seeded random DFAs with |M| <= 60."""
+    for d in random_dfas(seed=seed, count=count, states=(3, 5)):
+        try:
+            yield d, syntactic_ordered_monoid(d, cap=60)[0]
+        except CapError:
+            continue
+
+
 def test_polcom_witness_matches_scan_oracle():
     l5, _, _ = syntactic_ordered_monoid(builtin_language("L5"))
     assert find_polcom_exclusion_witness(l5) == \
         scan_polcom_exclusion_witness(l5, 6) == ("abab", "bbaa")
     assert commutative_quotient_condition(l5, "abab", "bbaa")
     checked = found = 0
-    for d in random_dfas(seed=20261018, count=200, states=(3, 5)):
-        try:
-            om, _, _ = syntactic_ordered_monoid(d, cap=60)
-        except CapError:
-            continue
+    for d, om in small_monoids(20261018, 200):
         want = scan_polcom_exclusion_witness(om, 4)
         assert find_polcom_exclusion_witness(om, 4) == want, d
         checked += 1
@@ -425,3 +514,102 @@ def test_polcom_witness_matches_scan_oracle():
             found += 1
             assert commutative_quotient_condition(om, *want), d
     assert checked >= 100 and found >= 10
+
+
+def length_eight_monoids(seed):
+    """Sixteen two-letter small monoids with at least three elements: the
+    scans at length 8 compare every pair of words (every interleaving)."""
+    picked = ((d, om) for d, om in small_monoids(seed, 400)
+              if len(d.alphabet) == 2 and om.size >= 3)
+    return list(itertools.islice(picked, 16))
+
+
+def test_polcom_witness_matches_scan_oracle_at_length_eight():
+    found = 0
+    for d, om in length_eight_monoids(20261021):
+        want = scan_polcom_exclusion_witness(om, 8)
+        assert find_polcom_exclusion_witness(om, 8) == want, d
+        found += want is not None
+    assert 3 <= found < 16
+
+
+# --- oracle: shuffle witness by listing every interleaving ------------------
+
+def shuffles(w1, w2):
+    """All distinct interleavings, first-word-first deterministic order."""
+    seen = set()
+
+    def rec(i, j, acc):
+        if i == len(w1) and j == len(w2):
+            if acc not in seen:
+                seen.add(acc)
+                yield acc
+            return
+        if i < len(w1):
+            yield from rec(i + 1, j, acc + w1[i])
+        if j < len(w2):
+            yield from rec(i, j + 1, acc + w2[j])
+
+    yield from rec(0, 0, "")
+
+
+def test_shuffles_enumeration():
+    assert list(shuffles("a", "b")) == ["ab", "ba"]
+    assert set(shuffles("ab", "ab")) == {"aabb", "abab"}
+    assert set(shuffles("ab", "ba")) == {"abba", "abab", "baab", "baba"}
+    for w1, w2 in (("ab", "ba"), ("a", "bb")):
+        for v in shuffles(w1, w2):
+            assert is_shuffle(v, w1, w2)
+
+
+def scan_shuffle_witness(om, max_len):
+    """First (u, w1, w2, v): u by length then lexicographically, every
+    split u = w1 w2 including the empty ones, v over the distinct
+    interleavings of w1 and w2 in first-word-first order; eval(u)
+    idempotent and eval(u v u) not below eval(u)."""
+    m = om.monoid
+    letters = sorted(m.generator_map)
+    for n in range(1, max_len + 1):
+        for t in itertools.product(letters, repeat=n):
+            u = "".join(t)
+            eu = eval_word(m, u)
+            if m.mul(eu, eu) != eu:
+                continue
+            for i in range(len(u) + 1):
+                w1, w2 = u[:i], u[i:]
+                for v in shuffles(w1, w2):
+                    if not om.leq(m.mul(m.mul(eu, eval_word(m, v)), eu), eu):
+                        return u, w1, w2, v
+    return None
+
+
+def test_shuffle_witness_matches_scan_oracle_on_named_monoids():
+    named = [syntactic_ordered_monoid(builtin_language(name))[0]
+             for name in ("BA2_LANG", "U_PLUS_LANG", "L5")]
+    named.append(builtin_monoid("S3")[0])
+    witnesses = [find_shuffle_witness(om) for om in named]
+    assert witnesses == [scan_shuffle_witness(om, 6) for om in named]
+    assert witnesses[0] == ("ab", "a", "b", "ba") and witnesses[2] is None
+    assert witnesses[1] is not None and witnesses[3] is not None
+
+
+def test_shuffle_witness_matches_scan_oracle():
+    checked, found, lengths = 0, 0, set()
+    for d, om in small_monoids(20261022, 230):
+        max_len = 4 + checked % 3
+        want = scan_shuffle_witness(om, max_len)
+        assert find_shuffle_witness(om, max_len) == want, (d, max_len)
+        checked += 1
+        if want is not None:
+            found += 1
+            lengths.add(len(want[0]))
+    assert checked >= 150 and found >= 50 and len(lengths) >= 3
+
+
+def test_shuffle_witness_matches_scan_oracle_at_length_eight():
+    found = 0
+    for d, om in length_eight_monoids(20261023):
+        want = scan_shuffle_witness(om, 8)
+        assert find_shuffle_witness(om, 8) == want, d
+        found += want is not None
+    assert 3 <= found < 16
