@@ -412,8 +412,8 @@ def verify_certificate(om: OrderedMonoid, cert: Certificate) -> bool:
         return all(m.mul(x, y) == m.mul(y, x)
                    for x in range(m.size) for y in range(m.size))
     if cert.kind == "noncommuting_pair":
-        a = _element_by_name(m, data["a"])
-        b = _element_by_name(m, data["b"])
+        a = eval_word(m, data["a"])
+        b = eval_word(m, data["b"])
         ab, ba = m.mul(a, b), m.mul(b, a)
         if ab == ba:
             return False
@@ -421,8 +421,8 @@ def verify_certificate(om: OrderedMonoid, cert: Certificate) -> bool:
             return not om.leq(ba, ab)
         return not om.leq(ab, ba)
     if cert.kind == "tq":
-        e = _element_by_name(m, data["e"])
-        f = _element_by_name(m, data["f"])
+        e = eval_word(m, data["e"])
+        f = eval_word(m, data["f"])
         q = data["q"]
         if m.mul(e, e) != e or m.mul(f, f) != f or q < 2:
             return False
@@ -434,9 +434,9 @@ def verify_certificate(om: OrderedMonoid, cert: Certificate) -> bool:
                 return i == q
         return False
     if cert.kind == "nonabelian_subgroup":
-        e = _element_by_name(m, data["e"])
-        g1 = _element_by_name(m, data["g1"])
-        g2 = _element_by_name(m, data["g2"])
+        e = eval_word(m, data["e"])
+        g1 = eval_word(m, data["g1"])
+        g2 = eval_word(m, data["g2"])
         if m.mul(e, e) != e or m.mul(g1, g2) == m.mul(g2, g1):
             return False
         local = {m.mul(m.mul(e, x), e) for x in range(m.size)}
@@ -447,7 +447,7 @@ def verify_certificate(om: OrderedMonoid, cert: Certificate) -> bool:
         return True
     if cert.kind in _DIVISORS:
         divisor, _ = builtin_monoid(_DIVISORS[cert.kind])
-        preimages = [_element_by_name(m, g) for g in data["generators"]]
+        preimages = [eval_word(m, g) for g in data["generators"]]
         image = division_map(divisor, om, preimages)
         return image is not None and len(image) == data["submonoid_size"]
     if cert.kind == "shuffle":
@@ -455,10 +455,6 @@ def verify_certificate(om: OrderedMonoid, cert: Certificate) -> bool:
     if cert.kind == "polcom_exclusion":
         return _replay_polcom(om, data["u"], data["v"])
     raise CcError("unknown certificate kind %r" % cert.kind)
-
-
-def _element_by_name(m: FiniteMonoid, name: str):
-    return eval_word(m, name)
 
 
 def serialize_classification(result: Classification,

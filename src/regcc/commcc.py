@@ -35,6 +35,9 @@ FOOLING_CAP = 64
 MEASURE_CAP = 32
 # maximal rectangles: nodes seen; partition candidates: (R, C) pairs visited
 CONCEPT_CAP = 300_000
+# nodes of the rank-bounded partition search; past it the disjoint cover
+# falls back to the integer program
+PARTITION_NODE_CAP = 300_000
 
 
 def _log2ceil(k: int) -> int:
@@ -588,7 +591,7 @@ def _greedy_partition(cands, cell_order, covered0=0, used0=0):
     return picked
 
 
-def _partition_color_exact(cands_z, order_z, nr, nc, upper, node_cap=300_000):
+def _partition_color_exact(cands_z, order_z, nr, nc, upper):
     """Minimum exact cover of one color's cells by its rectangles.
 
     Iterative deepening from the rank bound; at each node the rank of the
@@ -619,7 +622,7 @@ def _partition_color_exact(cands_z, order_z, nr, nc, upper, node_cap=300_000):
         if budget == 0:
             return None
         nodes += 1
-        if nodes > node_cap:
+        if nodes > PARTITION_NODE_CAP:
             raise CapError("partition search exceeded the node cap")
         if rank_of(remaining) > budget:
             return None

@@ -54,6 +54,37 @@ class FiniteMonoid:
         read it."""
         return dict(self.generators)
 
+    @functools.cached_property
+    def table_array(self) -> np.ndarray:
+        """The table as an int32 array, built once per monoid; callers only
+        read it."""
+        return np.array(self.table, dtype=np.int32)
+
+    @functools.cached_property
+    def cycles(self) -> tuple[tuple[int, int, int], ...]:
+        """(index, period, x^w) for each element x, built once per monoid.
+
+        One walk x, x^2, ... stops at the first repeat x^(i+p) = x^i: i >= 1
+        is the index and p the period.  x^i .. x^(i+p-1) is a cyclic group
+        whose identity x^w is the power x^j in it with p dividing j.  So x
+        lies in a subgroup iff its index is 1, and is a unit iff x^w = 1.
+        """
+        table = self.table
+        out = []
+        for x in range(self.size):
+            powers, seen = [x], {x: 1}       # powers[k - 1] = x^k
+            p = table[x][x]
+            while p not in seen:
+                powers.append(p)
+                seen[p] = len(powers)
+                p = table[p][x]
+            index = seen[p]
+            period = len(powers) + 1 - index
+            # the least multiple of the period that is at least the index
+            omega = powers[-(-index // period) * period - 1]
+            out.append((index, period, omega))
+        return tuple(out)
+
     def idempotents(self) -> list[int]:
         return [x for x in range(self.size) if self.table[x][x] == x]
 
@@ -397,12 +428,13 @@ def term_variables(text: str) -> list[str]:
 def eval_term(m, text: str, assignment: dict[str, int] | None = None) -> int:
     """Evaluate a term with optional omega exponents.
 
-    ``x^w`` is x raised to the exponent of the monoid, the least power at
-    which every element becomes idempotent.
+    ``x^w`` is the idempotent power of x, read from ``cycles``.  It equals
+    x raised to the exponent of the monoid, so ``x^(w+k)`` is
+    x^w * x^k and the exponent is never computed.
     """
     mono = m.monoid if isinstance(m, OrderedMonoid) else m
     lookup = assignment if assignment is not None else mono.generator_map
-    omega_value = exponent(mono)
+    cycles = mono.cycles
 
     def eval_factors(factors):
         p = mono.identity
@@ -415,8 +447,9 @@ def eval_term(m, text: str, assignment: dict[str, int] | None = None) -> int:
                 if atom not in lookup:
                     raise CcError("unknown letter %r in term" % atom)
                 base = lookup[atom]
-            k = omega * omega_value + offset
-            p = mono.table[p][mono.power(base, k)]
+            if omega:
+                p = mono.table[p][cycles[base][2]]
+            p = mono.table[p][mono.power(base, offset)]
         return p
 
     return eval_factors(_parse_term(text))
@@ -425,25 +458,14 @@ def eval_term(m, text: str, assignment: dict[str, int] | None = None) -> int:
 def exponent(m: FiniteMonoid) -> int:
     """Least k such that x**k is idempotent for every x.
 
-    Computed as the least multiple of lcm(cycle periods) that is at least
-    the maximum cycle entry index.
+    x**k is idempotent iff k is at least x's index and a multiple of its
+    period, so this is the least multiple of the lcm of the periods in
+    ``cycles`` that is at least the largest index.
     """
     mono = m.monoid if isinstance(m, OrderedMonoid) else m
-    lcm = 1
-    max_index = 1
-    for x in range(mono.size):
-        seen = {}
-        p = x
-        k = 1
-        while p not in seen:
-            seen[p] = k
-            p = mono.table[p][x]
-            k += 1
-        period = k - seen[p]
-        index = seen[p]
-        lcm = lcm * period // math.gcd(lcm, period)
-        max_index = max(max_index, index)
-    return lcm * ((max_index + lcm - 1) // lcm)
+    indices, periods, _ = zip(*mono.cycles)
+    lcm = math.lcm(*periods)
+    return lcm * -(-max(indices) // lcm)
 
 
 # ---------------------------------------------------------------------------
@@ -498,16 +520,13 @@ def check_property(om: OrderedMonoid, prop: str):
                     return False, (x, y)
         return True, None
     if prop == "aperiodic":
-        w = exponent(m)
-        for x in range(n):
-            xw = m.power(x, w)
-            if m.mul(xw, x) != xw:
+        for x, (_, period, _) in enumerate(m.cycles):
+            if period != 1:
                 return False, (x,)
         return True, None
     if prop == "group":
-        w = exponent(m)
-        for x in range(n):
-            if m.power(x, w) != m.identity:
+        for x, (_, _, omega) in enumerate(m.cycles):
+            if omega != m.identity:
                 return False, (x,)
         return True, None
     if prop == "j_trivial":
@@ -614,20 +633,15 @@ def _canonical_names(table, identity, gens, size) -> tuple[str, ...]:
 
 
 def maximal_subgroups(m: FiniteMonoid):
-    """For each idempotent e, the group of units of the local monoid eMe."""
+    """For each idempotent e, ascending, the group of units of the local
+    monoid eMe: the x of index 1 with x^w = e, read from ``cycles`` in one
+    pass with no inverse search."""
     mono = m.monoid if isinstance(m, OrderedMonoid) else m
-    n = mono.size
-    out = []
-    for e in mono.idempotents():
-        local = sorted({mono.mul(mono.mul(e, x), e) for x in range(n)})
-        units = set()
-        for g in local:
-            for h in local:
-                if mono.mul(g, h) == e and mono.mul(h, g) == e:
-                    units.add(g)
-                    break
-        out.append((e, frozenset(units)))
-    return out
+    groups = {e: set() for e in mono.idempotents()}
+    for x, (index, _, omega) in enumerate(mono.cycles):
+        if index == 1:
+            groups[omega].add(x)
+    return [(e, frozenset(group)) for e, group in groups.items()]
 
 
 def nonabelian_subgroup_witness(m: FiniteMonoid):
@@ -680,15 +694,19 @@ def division_map(n_om: OrderedMonoid, m_om: OrderedMonoid, preimages,
     return image
 
 
-def _powers_map_onto(m: FiniteMonoid, x: int, n: FiniteMonoid, g: int) -> bool:
-    """True iff x^k -> g^k is a well-defined map of <x> onto <g>."""
-    seen = {}
-    px, pg = m.identity, n.identity
-    while px not in seen:
-        seen[px] = pg
-        px, pg = m.mul(px, x), n.mul(pg, g)
-    # the pair sequence is periodic from here iff the images agree
-    return seen[px] == pg
+def _preimage_candidates(m: FiniteMonoid, n: FiniteMonoid):
+    """For each generator g of n, the x in m for which x^k -> g^k is a
+    well-defined map of <x> onto <g>.  Counted from x^0 = 1, the powers of
+    x first repeat at x^(s+p) = x^s, where p is the period and s is 0 for a
+    unit, the index otherwise; the map is well defined iff g^(s+p) = g^s,
+    that is, iff g's s is at most x's and g's period divides p."""
+    def start_period(mono, x):
+        index, period, omega = mono.cycles[x]
+        return 0 if omega == mono.identity else index, period
+
+    keys = [start_period(m, x) for x in range(m.size)]
+    return [[x for x, (s, p) in enumerate(keys) if gs <= s and p % gp == 0]
+            for gs, gp in (start_period(n, g) for _, g in n.generators)]
 
 
 # words over the divisor's generators up to this length are evaluated for
@@ -721,7 +739,7 @@ def _screened_blocks(m: FiniteMonoid, n: FiniteMonoid, candidates):
                 grown.append(len(n_values) - 1)
         frontier = grown
     n_values = np.array(n_values, dtype=np.int32)
-    table = np.array(m.table, dtype=np.int32)
+    table = m.table_array
     columns = [np.array(c, dtype=np.int32) for c in candidates]
     total = math.prod(len(c) for c in candidates)
     for start in range(0, total, _SCREEN_BLOCK):
@@ -751,7 +769,8 @@ def divides(n_om: OrderedMonoid, m_om: OrderedMonoid):
     by one preimage of each generator of n, so the search runs over tuples
     of preimages and closes each with ``division_map``.  A candidate
     preimage of g is an element x whose cyclic submonoid maps functionally
-    onto that of g.
+    onto that of g, decided from the index and period of x and g in
+    ``cycles`` (``_preimage_candidates``).
 
     The product of the candidate lists is screened in blocks
     (``_screened_blocks``): a tuple is dropped when two words of length
@@ -778,10 +797,8 @@ def divides(n_om: OrderedMonoid, m_om: OrderedMonoid):
     # the diagonal closure of n's generators is onto n iff they generate it
     if division_map(n_om, n_om, gens) is None:
         raise CcError("the generators of the divisor do not generate it")
-    candidates = [[x for x in range(m_m.size) if _powers_map_onto(m_m, x, n_m, g)]
-                  for g in gens]
     best = None
-    for tuples, lower in _screened_blocks(m_m, n_m, candidates):
+    for tuples, lower in _screened_blocks(m_m, n_m, _preimage_candidates(m_m, n_m)):
         for row in sorted(range(len(tuples)), key=lower.__getitem__):
             limit = None if best is None else best[0][0]
             if limit is not None and lower[row] > limit:

@@ -101,8 +101,8 @@ class LocalReduction:
                     raise CcError("slot %d entries have unequal padded length" % k)
 
     def source(self, n: int) -> CommFunction:
-        return _source_function(self.source_name, n, self.source_q,
-                                self.source_variant)
+        return builtin_function(self.source_name, n, q=self.source_q,
+                                variant=self.source_variant)
 
     def apply(self, x_bits: str, y_bits: str):
         """Interleaved target instance for one input pair."""
@@ -140,7 +140,7 @@ class RectangularReduction:
         raise NotImplementedError
 
     def source(self, n: int) -> CommFunction:
-        return _source_function(self.source_name, n, self.source_q, None)
+        return builtin_function(self.source_name, n, q=self.source_q, variant=None)
 
 
 @dataclass(frozen=True)
@@ -186,18 +186,6 @@ class AppendOnesReduction(RectangularReduction):
         total = sum(a == b == "1" for a, b in zip(xs, ys))
         value = total % self.q == 0
         return value if self.polarity == ACCEPT_IS_ONE else not value
-
-
-def _source_function(name, n, q, variant):
-    if name == "PDISJ":
-        return builtin_function("PDISJ", n)
-    if name == "LT":
-        return builtin_function("LT", n)
-    if name == "IP":
-        return builtin_function("IP", n, q=q)
-    if name == "PIP2":
-        return builtin_function("PIP2", n, variant=variant)
-    raise CcError("unknown source family %r" % name)
 
 
 def apply_reduction(reduction, x, y, n: int | None = None):
@@ -297,20 +285,17 @@ def group_reduction(om: OrderedMonoid, a: int, b: int,
     m = om.monoid
 
     def inverse(x):
-        for h in range(m.size):
-            if m.mul(x, h) == m.identity and m.mul(h, x) == m.identity:
-                return h
-        raise CcError("element %s is not invertible" % m.names[x])
+        # a unit's powers cycle through the identity, so x^(period-1) = x^-1
+        _, period, omega = m.cycles[x]
+        if omega != m.identity:
+            raise CcError("element %s is not invertible" % m.names[x])
+        return m.power(x, period - 1)
 
     ai, bi = inverse(a), inverse(b)
     commutator = m.product([ai, bi, a, b])
     if commutator == m.identity:
         raise CcError("the chosen elements commute")
-    q = 1
-    x = commutator
-    while x != m.identity:
-        x = m.mul(x, commutator)
-        q += 1
+    q = m.cycles[commutator][1]     # a unit's order is its period
     anchor = m.identity
     if any(x != anchor and om.leq(x, anchor) for x in range(m.size)):
         raise CcError("anchor element is not minimal in the order")

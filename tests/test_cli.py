@@ -65,6 +65,21 @@ def test_monoid_compute_ordered_pinned(capsys, tmp_path):
         "2b52a0287db8413e75560235d543ffda63104a9da646640088c8d8be274d2bbe"
 
 
+def test_classify_pinned(capsys, tmp_path):
+    # every built-in language, byte for byte as printed when the maximal
+    # subgroups came from a pairwise inverse search and division candidates
+    # from walking the powers of each (element, generator) pair
+    digest = hashlib.sha256()
+    for name in builtin_language_names():
+        path = tmp_path / (name + ".dfa")
+        path.write_text(serialize_dfa(builtin_language(name)))
+        code, out, _ = run(capsys, "classify", str(path))
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == \
+        "3c24bc774fabe463d8e547a18740169b32608501acf2f8ea7aadc76de6b28960"
+
+
 def test_classify_l5(capsys, l5_file):
     code, out, _ = run(capsys, "classify", l5_file)
     assert code == 0

@@ -1,14 +1,16 @@
 """Differential tests of the multiplication table, the syntactic order,
-ordered division and the shuffle and polynomial-closure exclusion
-witnesses.
+the cycle table, ordered division and the shuffle and polynomial-closure
+exclusion witnesses.
 
 The reference oracles are the direct definitions, kept here as test-only
 code: the table by composing every pair of state maps, the order by
 comparing state maps through the state inclusions and again by context
-implication over all pairs of monoid elements, division by an exhaustive
+implication over all pairs of monoid elements, the maximal subgroups by a
+pairwise inverse search in each local monoid eMe, the exponent and the
+division candidates by walking powers afresh, division by an exhaustive
 search over every submonoid and every surjective order-preserving
 morphism onto the divisor, and the witnesses by scans over every word
-(and every interleaving) up to the length bound.  All are exponential or
+(and every interleaving) up to the length bound.  Most are exponential or
 cubic, so the random inputs are small and seeded.  Beyond the exhaustive
 oracle's reach, division is checked against the unscreened search: one
 closure per tuple of candidate preimages, in product order.
@@ -30,9 +32,10 @@ from regcc.classify import (
     verify_certificate,
 )
 from regcc.monoid import (
-    FiniteMonoid, OrderedMonoid, StableOrder, _powers_map_onto,
-    OrderIdeal, commutative_quotient, divides, division_map, eval_word,
-    exponent, syntactic_ordered_monoid, transition_monoid,
+    FiniteMonoid, OrderedMonoid, StableOrder, _preimage_candidates,
+    OrderIdeal, check_property, commutative_quotient, divides, division_map,
+    eval_term, eval_word, exponent, maximal_subgroups, syntactic_ordered_monoid,
+    transition_monoid,
 )
 
 
@@ -288,12 +291,111 @@ def test_divides_matches_exhaustive_oracle():
     assert dividing >= 10
 
 
-# --- oracle: one closure per tuple of candidate preimages -------------------
+# --- oracle: power walks and the pairwise inverse search --------------------
+
+def pairwise_maximal_subgroups(m):
+    """For each idempotent e, the elements g of eMe with some h in eMe such
+    that gh = hg = e."""
+    out = []
+    for e in m.idempotents():
+        local = sorted({m.mul(m.mul(e, x), e) for x in range(m.size)})
+        units = set()
+        for g in local:
+            for h in local:
+                if m.mul(g, h) == e and m.mul(h, g) == e:
+                    units.add(g)
+                    break
+        out.append((e, frozenset(units)))
+    return out
+
+
+def walk_exponent(m):
+    """The least multiple of the lcm of the cycle periods that is at least
+    the largest cycle entry index, each element's powers walked afresh."""
+    lcm = 1
+    max_index = 1
+    for x in range(m.size):
+        seen = {}
+        p = x
+        k = 1
+        while p not in seen:
+            seen[p] = k
+            p = m.table[p][x]
+            k += 1
+        period = k - seen[p]
+        index = seen[p]
+        lcm = lcm * period // math.gcd(lcm, period)
+        max_index = max(max_index, index)
+    return lcm * ((max_index + lcm - 1) // lcm)
+
+
+def powers_map_onto(m, x, n, g):
+    """True iff x^k -> g^k is a well-defined map of <x> onto <g>, by
+    walking the pairs (x^k, g^k) until x^k repeats."""
+    seen = {}
+    px, pg = m.identity, n.identity
+    while px not in seen:
+        seen[px] = pg
+        px, pg = m.mul(px, x), n.mul(pg, g)
+    # the pair sequence is periodic from here iff the images agree
+    return seen[px] == pg
+
 
 def candidate_lists(n_om, m_om):
     return [[x for x in range(m_om.size)
-             if _powers_map_onto(m_om.monoid, x, n_om.monoid, g)]
+             if powers_map_onto(m_om.monoid, x, n_om.monoid, g)]
             for _, g in n_om.monoid.generators]
+
+
+CYCLE_DIVISORS = [builtin_monoid(name)[0] for name in ("BA2_PLUS", "U_PLUS", "S3", "Z3")]
+
+
+def check_cycle_table(om):
+    """Every reader of the cycle table against the walks and the pairwise
+    search; returns the number of candidate decisions checked."""
+    m = om.monoid
+    w = walk_exponent(m)
+    assert exponent(m) == w
+    assert maximal_subgroups(m) == pairwise_maximal_subgroups(m)
+    for x in range(m.size):
+        for k in range(3):
+            assert eval_term(m, "a^(w+%d)" % k, {"a": x}) == m.power(x, w + k)
+    aperiodic = next(((x,) for x in range(m.size)
+                      if m.mul(m.power(x, w), x) != m.power(x, w)), None)
+    group = next(((x,) for x in range(m.size) if m.power(x, w) != m.identity), None)
+    assert check_property(om, "aperiodic") == (aperiodic is None, aperiodic)
+    assert check_property(om, "group") == (group is None, group)
+    decisions = 0
+    for n_om in CYCLE_DIVISORS:
+        assert _preimage_candidates(m, n_om.monoid) == candidate_lists(n_om, om)
+        decisions += m.size * len(n_om.monoid.generators)
+    return decisions
+
+
+def test_cycle_table_matches_walk_and_pairwise_oracles():
+    monoids = list(itertools.islice(random_monoids(20261024, 600, (1, 200)), 320))
+    assert len(monoids) >= 300
+    decisions = sum(check_cycle_table(om) for om in monoids)
+    # subgroups at idempotents other than the identity, and non-trivial ones
+    groups = [g for om in monoids for e, g in maximal_subgroups(om.monoid)
+              if e != om.monoid.identity and len(g) > 1]
+    assert len(groups) >= 100
+    assert decisions >= 40_000
+
+
+@pytest.mark.parametrize("name", ["S3", "Z3", "BA2_PLUS", "U_PLUS", "TQ_EXAMPLE"])
+def test_cycle_table_on_named_monoids(name):
+    om, _ = builtin_monoid(name, q=3) if name == "TQ_EXAMPLE" else builtin_monoid(name)
+    check_cycle_table(om)
+
+
+def test_cycle_table_beyond_a_thousand():
+    om, _, _ = syntactic_ordered_monoid(seeded_binary_dfa(186, 7))
+    assert om.size == 1011
+    check_cycle_table(om)
+
+
+# --- oracle: one closure per tuple of candidate preimages -------------------
 
 
 def product_divides(n_om, m_om):

@@ -180,6 +180,19 @@ def test_group_side_conditions():
         group_reduction(ba2, a, b)                      # not invertible
 
 
+def test_group_reduction_inverts_by_the_period():
+    om, _ = builtin_monoid("S3")
+    m = om.monoid
+    a, b = m.generator_map["a"], m.generator_map["b"]
+    red = group_reduction(om, a, b)
+    for x, inverse in ((a, red.alice[1][0]), (b, red.bob[1][0])):
+        assert m.mul(x, inverse) == m.identity == m.mul(inverse, x)
+    # a three-cycle has period 3, so its inverse is its square
+    c = m.mul(a, b)
+    assert m.cycles[c][1] == 3
+    assert group_reduction(om, c, a).alice[1][0] == m.mul(c, c)
+
+
 def test_tq_side_conditions():
     om, _ = builtin_monoid("TQ_EXAMPLE", q=3)
     q, e, f = find_tq(om.monoid)
