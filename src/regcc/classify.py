@@ -26,15 +26,13 @@ from dataclasses import dataclass
 
 from .automata import CcError, Dfa, builtin_language
 from .monoid import (
-    FiniteMonoid, OrderedMonoid, divides, division_map,
+    FiniteMonoid, OrderedMonoid, check_property, divides, division_map,
     eval_word, find_tq, nonabelian_subgroup_witness,
-    syntactic_ordered_monoid, transition_monoid,
+    syntactic_ordered_monoid, tq_period, transition_monoid,
 )
 # not called here (nonabelian_subgroup_witness walks the subgroups); kept
 # because perfbench/spans.py traces the binding regcc.classify.maximal_subgroups
 from .monoid import maximal_subgroups  # noqa: F401
-
-TIERS = ("CONSTANT", "LOG_LOWER", "LINEAR_LOWER", "UNRESOLVED_GAP")
 
 DEFAULT_WITNESS_LEN = 6
 MAX_WITNESS_LEN = 8
@@ -214,13 +212,15 @@ def find_shuffle_witness(om: OrderedMonoid, max_len: int = DEFAULT_WITNESS_LEN):
                         continue
                 v, p, j = v + w2[j], table[p][gens[w2[j]]], j + 1
             witness = (u, w1, w2, v)
-            if not _replay_shuffle(om, *witness):
+            if not is_shuffle_witness(om, *witness):
                 raise CcError("shuffle witness %r fails its replay" % (witness,))
             return witness
     return None
 
 
-def _replay_shuffle(om, u, w1, w2, v):
+def is_shuffle_witness(om, u, w1, w2, v) -> bool:
+    """The shuffle witness condition: u = w1 w2, v is a shuffle of w1 and
+    w2, eval(u) is idempotent and eval(u v u) is not below eval(u)."""
     m = om.monoid
     if u != w1 + w2 or not is_shuffle(v, w1, w2):
         return False
@@ -322,16 +322,11 @@ def _resolve(obj):
     raise CcError("classify expects a Dfa or an OrderedMonoid")
 
 
-def _noncommuting_pair(om: OrderedMonoid):
+def is_noncommuting_pair(om: OrderedMonoid, a: int, b: int) -> bool:
+    """The noncommuting pair condition: ab != ba and ba is not below ab."""
     m = om.monoid
-    for a in range(m.size):
-        for b in range(a + 1, m.size):
-            ab, ba = m.mul(a, b), m.mul(b, a)
-            if ab != ba:
-                if not om.leq(ba, ab):
-                    return a, b, "ba_nleq_ab"
-                return a, b, "ab_nleq_ba"
-    return None
+    ab, ba = m.mul(a, b), m.mul(b, a)
+    return ab != ba and not om.leq(ba, ab)
 
 
 LINEAR_KINDS = ("tq", "nonabelian_subgroup", "divides_ba2_plus",
@@ -352,13 +347,15 @@ def classify_nondet(obj, max_witness_len: int = DEFAULT_WITNESS_LEN) -> Classifi
     bounds = {"max_witness_len": max_witness_len}
     certificates = []
 
-    pair = _noncommuting_pair(om)
-    if pair is None:
+    commutative, pair = check_property(om, "commutative")
+    if commutative:
         certificates.append(Certificate.make("commutative"))
         return Classification("CONSTANT", tuple(certificates),
                               tuple(sorted(bounds.items())))
 
-    a, b, direction = pair
+    # ab != ba, so by antisymmetry ba is not below ab or ab is not below ba
+    a, b = pair
+    direction = "ba_nleq_ab" if is_noncommuting_pair(om, a, b) else "ab_nleq_ba"
     certificates.append(Certificate.make(
         "noncommuting_pair", a=m.names[a], b=m.names[b], direction=direction))
 
@@ -409,30 +406,17 @@ def verify_certificate(om: OrderedMonoid, cert: Certificate) -> bool:
     m = om.monoid
     data = dict(cert.data)
     if cert.kind == "commutative":
-        return all(m.mul(x, y) == m.mul(y, x)
-                   for x in range(m.size) for y in range(m.size))
+        return check_property(om, "commutative")[0]
     if cert.kind == "noncommuting_pair":
         a = eval_word(m, data["a"])
         b = eval_word(m, data["b"])
-        ab, ba = m.mul(a, b), m.mul(b, a)
-        if ab == ba:
-            return False
         if data["direction"] == "ba_nleq_ab":
-            return not om.leq(ba, ab)
-        return not om.leq(ab, ba)
+            return is_noncommuting_pair(om, a, b)
+        return is_noncommuting_pair(om, b, a)
     if cert.kind == "tq":
         e = eval_word(m, data["e"])
         f = eval_word(m, data["f"])
-        q = data["q"]
-        if m.mul(e, e) != e or m.mul(f, f) != f or q < 2:
-            return False
-        ef = m.mul(e, f)
-        x = e
-        for i in range(1, q + 1):
-            x = m.mul(ef, x)
-            if x == e:
-                return i == q
-        return False
+        return tq_period(m, e, f) == data["q"]
     if cert.kind == "nonabelian_subgroup":
         e = eval_word(m, data["e"])
         g1 = eval_word(m, data["g1"])
@@ -451,7 +435,7 @@ def verify_certificate(om: OrderedMonoid, cert: Certificate) -> bool:
         image = division_map(divisor, om, preimages)
         return image is not None and len(image) == data["submonoid_size"]
     if cert.kind == "shuffle":
-        return _replay_shuffle(om, data["u"], data["w1"], data["w2"], data["v"])
+        return is_shuffle_witness(om, data["u"], data["w1"], data["w2"], data["v"])
     if cert.kind == "polcom_exclusion":
         return _replay_polcom(om, data["u"], data["v"])
     raise CcError("unknown certificate kind %r" % cert.kind)

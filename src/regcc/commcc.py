@@ -353,11 +353,6 @@ def monochromatic_color(f: CommFunction, rect: Rectangle,
     return seen.pop()
 
 
-def is_monochromatic(f: CommFunction, rect: Rectangle, z: int) -> bool:
-    other = str(1 - z)
-    return all(f.rows[i][j] != other for i, j in rect.cells())
-
-
 def _dedup(f: CommFunction):
     """Group equal rows and columns; returns (row reps, col reps,
     row class lists, col class lists)."""
@@ -568,11 +563,11 @@ def _rank_q(mat) -> int:
     return r
 
 
-def _greedy_partition(cands, cell_order, covered0=0, used0=0):
+def _greedy_partition(cands, cell_order):
     """Deterministic greedy exact-cover: first uncovered cell, largest
     admissible candidate.  ``cands``: (rows, cols, color, def_mask, foot_mask).
     Always succeeds because single-cell hulls are among the candidates."""
-    covered, used = covered0, used0
+    covered = used = 0
     picked = []
     for cellbit in cell_order:
         if covered & cellbit:

@@ -56,8 +56,8 @@ class FiniteMonoid:
 
     @functools.cached_property
     def table_array(self) -> np.ndarray:
-        """The table as an int32 array, built once per monoid; callers only
-        read it."""
+        """The table as an int32 array, built once per monoid (the closure
+        hands over its own); callers only read it."""
         return np.array(self.table, dtype=np.int32)
 
     @functools.cached_property
@@ -111,9 +111,6 @@ class StableOrder:
     """Boolean matrix of a stable partial order: leq[x][y] iff x <= y."""
 
     leq: tuple[tuple[bool, ...], ...]
-
-    def holds(self, x: int, y: int) -> bool:
-        return self.leq[x][y]
 
     @classmethod
     def equality(cls, size: int) -> "StableOrder":
@@ -240,6 +237,9 @@ def _transition_closure(d: Dfa, cap: int):
     elements = np.array(range(n), dtype=object)
     table = tuple(tuple(elements[row].tolist()) for row in columns.T)
     m = FiniteMonoid(n, 0, table, tuple(names), tuple(sorted(gens.items())))
+    # columns.T is the table in int32, so it fills the cache that would
+    # otherwise be rebuilt from the tuples
+    m.__dict__["table_array"] = columns.T
     return m, gens, transforms
 
 
@@ -501,12 +501,6 @@ def identity_counterexample(om, lhs: str, rhs: str, mode: str = "equals"):
         if not ok:
             return assignment
     return None
-
-
-PROPERTIES = (
-    "commutative", "aperiodic", "group", "j_trivial",
-    "idempotent", "locally_trivial", "identity_is_maximum",
-)
 
 
 def check_property(om: OrderedMonoid, prop: str):
@@ -815,25 +809,30 @@ def divides(n_om: OrderedMonoid, m_om: OrderedMonoid):
     return True, (preimages, image, frozenset(image))
 
 
+def tq_period(m: FiniteMonoid, e: int, f: int) -> int | None:
+    """q when (e, f) is a T_q pair, else None: e and f are idempotent and
+    the orbit (ef)^i e, i >= 1, first returns to e at i = q > 1."""
+    if m.mul(e, e) != e or m.mul(f, f) != f:
+        return None
+    ef = m.mul(e, f)
+    x, seen = m.mul(ef, e), {e}
+    while x not in seen:
+        seen.add(x)
+        x = m.mul(ef, x)
+    # seen holds e and the orbit before its first repeat x
+    return len(seen) if x == e and len(seen) > 1 else None
+
+
 def find_tq(m: FiniteMonoid):
-    """First idempotent pair (e, f) whose orbit (ef)^i e returns to e with
-    exact period q > 1; returns (q, e, f) or None."""
+    """First idempotent pair (e, f) that is a T_q pair (``tq_period``);
+    returns (q, e, f) or None."""
     mono = m.monoid if isinstance(m, OrderedMonoid) else m
     idems = mono.idempotents()
     for e in idems:
         for f in idems:
-            ef = mono.mul(e, f)
-            x = e
-            seen = {e}
-            for q in range(1, mono.size + 2):
-                x = mono.mul(ef, x)
-                if x == e:
-                    if q > 1:
-                        return q, e, f
-                    break
-                if x in seen:
-                    break
-                seen.add(x)
+            q = tq_period(mono, e, f)
+            if q is not None:
+                return q, e, f
     return None
 
 

@@ -15,11 +15,14 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .automata import EPSILON, CcError, Dfa, accepts, builtin_language
-from .classify import builtin_monoid, find_shuffle_witness, is_shuffle
+from .classify import (
+    builtin_monoid, find_shuffle_witness, is_noncommuting_pair,
+    is_shuffle_witness,
+)
 from .commcc import CommFunction, builtin_function
 from .monoid import (
     OrderIdeal, OrderedMonoid, eval_word, find_tq, ideal_generated,
-    syntactic_ordered_monoid,
+    syntactic_ordered_monoid, tq_period,
 )
 
 ACCEPT_IS_ONE = "ACCEPT_IS_ONE"
@@ -128,16 +131,14 @@ class LocalReduction:
 
 @dataclass(frozen=True)
 class RectangularReduction:
-    """Length-t position-indexed reduction; inputs are numbers."""
+    """Reduction of whole inputs rather than per-bit blocks; like a
+    ``LocalReduction`` it decides a cell from its two bit-string labels."""
 
     name: str
     source_name: str
     target: object
     polarity: str
     source_q: int | None = None
-
-    def length(self, n: int) -> int:
-        raise NotImplementedError
 
     def source(self, n: int) -> CommFunction:
         return builtin_function(self.source_name, n, q=self.source_q, variant=None)
@@ -163,8 +164,9 @@ class PositionReduction(RectangularReduction):
             out.append(self.b if i == y else m.identity)
         return out
 
-    def decides_one(self, x: int, y: int, n: int) -> bool:
-        accepted = self.target.accepted(self.apply(x, y, n))
+    def decides_one(self, x_bits: str, y_bits: str) -> bool:
+        accepted = self.target.accepted(
+            self.apply(int(x_bits, 2), int(y_bits, 2), len(x_bits)))
         return accepted if self.polarity == ACCEPT_IS_ONE else not accepted
 
 
@@ -175,13 +177,10 @@ class AppendOnesReduction(RectangularReduction):
 
     q: int = 2
 
-    def length(self, n: int) -> int:
-        return n + self.q
-
     def apply(self, x_bits: str, y_bits: str):
         return x_bits + "1" * self.q, y_bits + "1" * self.q
 
-    def decides_one(self, x_bits: str, y_bits: str, n: int = 0) -> bool:
+    def decides_one(self, x_bits: str, y_bits: str) -> bool:
         xs, ys = self.apply(x_bits, y_bits)
         total = sum(a == b == "1" for a, b in zip(xs, ys))
         value = total % self.q == 0
@@ -204,28 +203,24 @@ def apply_reduction(reduction, x, y, n: int | None = None):
     return reduction.apply(x, y)
 
 
-def verify_reduction(reduction, n_max: int, n_min: int = 1) -> VerificationReport:
-    """Replay the reduction on every in-domain input for each length.
+def verify_reduction(reduction, n_max: int) -> VerificationReport:
+    """Replay the reduction on every in-domain input for each length
+    1..n_max.
 
     Reports the first counterexample in canonical order, or PASS with the
     number of checked pairs.
     """
     checked = 0
-    for n in range(n_min, n_max + 1):
+    for n in range(1, n_max + 1):
         f = reduction.source(n)
         for i, j, expected in f.defined_cells():
-            if isinstance(reduction, PositionReduction):
-                got = reduction.decides_one(i, j, n)
-            elif isinstance(reduction, AppendOnesReduction):
-                got = reduction.decides_one(f.row_labels[i], f.col_labels[j], n)
-            else:
-                got = reduction.decides_one(f.row_labels[i], f.col_labels[j])
+            x, y = f.row_labels[i], f.col_labels[j]
+            got = int(reduction.decides_one(x, y))
             checked += 1
-            if int(got) != expected:
-                return VerificationReport(
-                    reduction.name, "FAIL", (n_min, n_max), checked,
-                    (n, f.row_labels[i], f.col_labels[j], expected, int(got)))
-    return VerificationReport(reduction.name, "PASS", (n_min, n_max), checked, None)
+            if got != expected:
+                return VerificationReport(reduction.name, "FAIL", (1, n_max),
+                                          checked, (n, x, y, expected, got))
+    return VerificationReport(reduction.name, "PASS", (1, n_max), checked, None)
 
 
 # ---------------------------------------------------------------------------
@@ -249,20 +244,13 @@ def _compositions(word: str, k: int):
         yield tuple(word[points[i]:points[i + 1]] for i in range(k))
 
 
-def shuffle_reduction(om: OrderedMonoid, u: str, w1: str, w2: str, v: str,
-                      name: str = "pdisj_to_shuffle") -> LocalReduction:
+def shuffle_reduction(om: OrderedMonoid, u: str, w1: str, w2: str,
+                      v: str) -> LocalReduction:
     """PDISJ to (M, <eval(u)>) via the shuffle witness (u, w1, w2, v)."""
     m = om.monoid
-    if u != w1 + w2:
-        raise CcError("u must equal w1 w2")
-    if not is_shuffle(v, w1, w2):
-        raise CcError("v is not a shuffle of w1 and w2")
+    if not is_shuffle_witness(om, u, w1, w2, v):
+        raise CcError("%r is not a shuffle witness" % ((u, w1, w2, v),))
     eu = eval_word(m, u)
-    if m.mul(eu, eu) != eu:
-        raise CcError("eval(u) is not idempotent")
-    ev = eval_word(m, v)
-    if om.leq(m.mul(m.mul(eu, ev), eu), eu):
-        raise CcError("eval(u v u) is below eval(u); no witness")
     xs, ys = _alternating_decomposition(v, w1, w2)
     k = len(xs)
     ee = m.identity
@@ -271,15 +259,14 @@ def shuffle_reduction(om: OrderedMonoid, u: str, w1: str, w2: str, v: str,
     alice1 = tuple([eval_word(m, x) for x in xs] + [ee] * k)
     bob1 = tuple([eval_word(m, y) for y in ys] + [ee] * k)
     return LocalReduction(
-        name, "PDISJ", (alice0, alice1), (bob0, bob1),
+        "pdisj_to_shuffle", "PDISJ", (alice0, alice1), (bob0, bob1),
         alice_prefix=(eu,), bob_prefix=(ee,),
         alice_suffix=(ee,), bob_suffix=(eu,),
         target=MonoidTarget(om, ideal_generated(om, [eu])),
         polarity=ACCEPT_IS_ONE)
 
 
-def group_reduction(om: OrderedMonoid, a: int, b: int,
-                    name: str = "ipq_to_group") -> LocalReduction:
+def group_reduction(om: OrderedMonoid, a: int, b: int) -> LocalReduction:
     """IP_q to (G, <identity>) where q is the order of the commutator of a
     and b; requires a, b invertible with a non-trivial commutator."""
     m = om.monoid
@@ -301,30 +288,21 @@ def group_reduction(om: OrderedMonoid, a: int, b: int,
         raise CcError("anchor element is not minimal in the order")
     ee = m.identity
     return LocalReduction(
-        name, "IP", ((ee, ee), (ai, a)), ((ee, ee), (bi, b)),
+        "ipq_to_group", "IP", ((ee, ee), (ai, a)), ((ee, ee), (bi, b)),
         alice_prefix=(), bob_prefix=(),
         alice_suffix=(anchor,), bob_suffix=(ee,),
         target=MonoidTarget(om, ideal_generated(om, [anchor])),
         polarity=ACCEPT_IS_ONE, source_q=q)
 
 
-def tq_reduction(om: OrderedMonoid, e: int, f: int, q: int,
-                 name: str = "ipq_to_tq") -> LocalReduction:
+def tq_reduction(om: OrderedMonoid, e: int, f: int, q: int) -> LocalReduction:
     """IP_q to (M, <e>) via the idempotent pair of a T_q monoid."""
     m = om.monoid
-    if m.mul(e, e) != e or m.mul(f, f) != f:
-        raise CcError("e and f must be idempotent")
-    ef = m.mul(e, f)
-    x = e
-    for i in range(1, q + 1):
-        x = m.mul(ef, x)
-        if x == e and i < q:
-            raise CcError("orbit period is %d, not %d" % (i, q))
-    if x != e:
-        raise CcError("orbit does not return to e at %d" % q)
-    efq = m.power(ef, q)
+    if tq_period(m, e, f) != q:
+        raise CcError("(%s, %s) is not a T_%d pair" % (m.name_of(e), m.name_of(f), q))
+    efq = m.power(m.mul(e, f), q)
     return LocalReduction(
-        name, "IP",
+        "ipq_to_tq", "IP",
         ((m.mul(e, efq),), (e,)),
         ((m.mul(efq, e),), (m.mul(f, e),)),
         alice_prefix=(), bob_prefix=(),
@@ -333,17 +311,15 @@ def tq_reduction(om: OrderedMonoid, e: int, f: int, q: int,
         polarity=ACCEPT_IS_ONE, source_q=q)
 
 
-def lt_reduction(om: OrderedMonoid, a: int, b: int,
-                 name: str = "lt_to_noncommutative") -> PositionReduction:
+def lt_reduction(om: OrderedMonoid, a: int, b: int) -> PositionReduction:
     """LESS-THAN to (M, <ab>) for a non-commuting pair with ba not below ab."""
     m = om.monoid
-    ab, ba = m.mul(a, b), m.mul(b, a)
-    if ab == ba:
-        raise CcError("the chosen elements commute")
-    if om.leq(ba, ab):
-        raise CcError("ba is below ab; swap the pair")
+    if not is_noncommuting_pair(om, a, b):
+        raise CcError("(%s, %s) is not a noncommuting pair: ab = ba or ba is "
+                      "below ab" % (m.name_of(a), m.name_of(b)))
     return PositionReduction(
-        name, "LT", MonoidTarget(om, ideal_generated(om, [ab])),
+        "lt_to_noncommutative", "LT",
+        MonoidTarget(om, ideal_generated(om, [m.mul(a, b)])),
         ACCEPT_IS_ONE, a=a, b=b)
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from regcc.automata import CcError, builtin_language
+from regcc.automata import CcError, Dfa, builtin_language
 from regcc.classify import (
     BUILTIN_MONOID_NAMES, Certificate, builtin_monoid, classify_nondet,
     find_polcom_exclusion_witness, find_shuffle_witness, is_shuffle,
@@ -10,6 +10,7 @@ from regcc.monoid import (
     check_property, eval_word, find_tq, maximal_subgroups,
     nonabelian_subgroup_witness, syntactic_ordered_monoid,
 )
+from regcc.reductions import lt_reduction, verify_reduction
 
 
 def classify_lang(name, **kw):
@@ -77,7 +78,7 @@ def test_witness_length_cap():
 
 
 @pytest.mark.parametrize("replay, search", [
-    ("_replay_shuffle", find_shuffle_witness),
+    ("is_shuffle_witness", find_shuffle_witness),
     ("_replay_polcom", find_polcom_exclusion_witness),
 ])
 def test_witness_failing_its_replay_raises(monkeypatch, replay, search):
@@ -205,6 +206,26 @@ def test_classify_log_witness_direction():
             assert not om.leq(ba, ab)
         else:
             assert not om.leq(ab, ba)
+
+
+def test_noncommuting_pair_ab_not_below_ba():
+    # a resets to the accepting state, b to the rejecting one: ba = a is
+    # below ab = b, so the first pair (a, b) comes out in the other direction
+    d = Dfa.make("ab", 2, 0, {0}, {"a": [0, 0], "b": [1, 1]})
+    om, _, _ = syntactic_ordered_monoid(d)
+    r = classify_nondet(om)
+    assert serialize_classification(r, om) == (
+        "tier: LOG_LOWER\n"
+        "certificate: noncommuting_pair a=a b=b direction=ab_nleq_ba replay=ok\n"
+        "bound: max_witness_len=6\n")
+    flipped = Certificate.make("noncommuting_pair", a="a", b="b",
+                               direction="ba_nleq_ab")
+    assert not verify_certificate(om, flipped)
+    m = om.monoid
+    a, b = m.generator_map["a"], m.generator_map["b"]
+    with pytest.raises(CcError):
+        lt_reduction(om, a, b)
+    assert verify_reduction(lt_reduction(om, b, a), 3).status == "PASS"
 
 
 @pytest.mark.parametrize("name", ["Z3_LANG", "BA2_LANG", "U_PLUS_LANG",

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from regcc import commcc
 from regcc.automata import CapError, CcError, builtin_language
 from regcc.commcc import (
     CommFunction, Cover, ProtocolNode, Rectangle, RectangleMeasure,
-    builtin_function, exact_deterministic_cc, format_indices, is_monochromatic,
+    builtin_function, exact_deterministic_cc, format_indices,
     language_problem, language_problem_partition, max_fooling_set,
     max_rectangle_measure, min_cover, min_disjoint_cover, monochromatic_color,
     monoid_problem, serialize_cover, serialize_function,
@@ -311,9 +312,6 @@ def test_monochromatic_color():
     # an all-undefined rectangle is monochromatic for either color
     assert monochromatic_color(f, Rectangle((3,), (3,)), vacuous=1) == 1
     assert monochromatic_color(f, Rectangle((3,), (3,)), vacuous=0) == 0
-    assert is_monochromatic(f, Rectangle((3,), (3,)), 0)
-    assert is_monochromatic(f, Rectangle((3,), (3,)), 1)
-    assert not is_monochromatic(f, Rectangle((0, 1), (0, 1)), 0)
     eq = builtin_function("EQ", 1)
     assert monochromatic_color(eq, Rectangle((0, 1), (0, 1))) is None
 
@@ -397,6 +395,28 @@ def test_min_disjoint_cover_promise_oracle():
     count, cover = min_disjoint_cover(f)
     validate_disjoint_cover(f, cover)
     assert count == brute_min_disjoint(f)
+
+
+def test_min_disjoint_cover_deepens_past_the_rank_bound(monkeypatch):
+    rows = ("111010", "011100", "110011", "110100", "010110", "010101")
+    f = CommFunction("M6", tuple("r%d" % i for i in range(6)),
+                     tuple("c%d" % j for j in range(6)), rows)
+    # the 1-cells have rank 5 but no partition into 5 rectangles, so the
+    # search deepens once; the 0-cells take 5
+    assert _rank_q([[int(c) for c in row] for row in rows]) == 5
+    count, cover = min_disjoint_cover(f)
+    validate_disjoint_cover(f, cover)
+    assert count == 11
+    assert sum(monochromatic_color(f, r) == 1 for r in cover.rectangles) == 6
+    # past the node cap each color falls back to the integer program
+    calls = []
+    milp = commcc._partition_milp
+    monkeypatch.setattr(commcc, "PARTITION_NODE_CAP", 0)
+    monkeypatch.setattr(commcc, "_partition_milp",
+                        lambda *args: calls.append(args) or milp(*args))
+    count, cover = min_disjoint_cover(f)
+    validate_disjoint_cover(f, cover)
+    assert (count, len(calls)) == (11, 2)
 
 
 def test_disjoint_cover_cap():

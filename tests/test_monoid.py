@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from regcc.automata import CapError, CcError, Dfa, builtin_language, minimize
@@ -209,6 +210,16 @@ def test_generator_map_built_once(ba2):
     assert m == FiniteMonoid(m.size, m.identity, m.table, m.names, m.generators)
     assert hash(m) == hash(FiniteMonoid(m.size, m.identity, m.table, m.names,
                                         m.generators))
+
+
+@pytest.mark.parametrize("name", ["BA2_LANG", "L5"])
+def test_closure_hands_over_its_int32_table(name):
+    d = builtin_language(name)
+    for m in (transition_monoid(d)[0], syntactic_ordered_monoid(d)[0].monoid):
+        # set by the closure itself, not rebuilt from the tuple table
+        assert "table_array" in vars(m)
+        assert m.table_array.dtype == np.int32
+        assert np.array_equal(m.table_array, np.array(m.table))
 
 
 def test_eval_term_omega(ba2):

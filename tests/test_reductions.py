@@ -154,6 +154,11 @@ def test_reduction_descriptor_serialization():
     assert "length: 2^n" in text and "plant: a/b" in text
     text = serialize_reduction(builtin_reduction("pdisj_to_ipq", q=3))
     assert "target: function IP_3" in text and "append: 111" in text
+    # both IP reductions name q in their source: the commutator of S3's two
+    # transpositions has order 3, and TQ_EXAMPLE is built for q = 3
+    for name in ("ipq_to_group", "ipq_to_tq"):
+        text = serialize_reduction(builtin_reduction(name))
+        assert text.splitlines()[:2] == ["name: %s" % name, "source: IP_3"]
 
 
 # --- side conditions --------------------------------------------------------------
@@ -239,6 +244,8 @@ def test_apply_reduction_domain_checks():
     with pytest.raises(CcError):
         apply_reduction(shuffle, "1", "01")
     lt = builtin_reduction("lt_to_noncommutative")
+    m = lt.target.om.monoid
+    assert m.product(apply_reduction(lt, 1, 2, 2)) == eval_word(m, "ab")
     with pytest.raises(CcError):
         apply_reduction(lt, 5, 1, 2)
 
