@@ -140,8 +140,8 @@ def _idempotent_words(om: OrderedMonoid, max_len: int):
     lexicographically, whose value e is idempotent and whose G is not
     empty.  G, memoized per e, holds the elements y with e*y*e not below
     e: a word v completes a witness for u iff eval(v) is in G."""
-    if max_len > MAX_WITNESS_LEN:
-        raise CcError("witness length capped at %d" % MAX_WITNESS_LEN)
+    if not 1 <= max_len <= MAX_WITNESS_LEN:
+        raise CcError("witness length must lie in 1..%d" % MAX_WITNESS_LEN)
     m = om.monoid
     table = m.table
     failing = {}
@@ -221,9 +221,13 @@ def find_shuffle_witness(om: OrderedMonoid, max_len: int = DEFAULT_WITNESS_LEN):
 def is_shuffle_witness(om, u, w1, w2, v) -> bool:
     """The shuffle witness condition: u = w1 w2, v is a shuffle of w1 and
     w2, eval(u) is idempotent and eval(u v u) is not below eval(u)."""
+    return u == w1 + w2 and is_shuffle(v, w1, w2) and _escapes(om, u, v)
+
+
+def _escapes(om, u, v) -> bool:
+    """The tail shared by the shuffle and polcom witnesses: eval(u) is
+    idempotent and eval(u v u) is not below eval(u)."""
     m = om.monoid
-    if u != w1 + w2 or not is_shuffle(v, w1, w2):
-        return False
     eu = eval_word(m, u)
     if m.mul(eu, eu) != eu:
         return False
@@ -301,13 +305,7 @@ def _replay_polcom(om, u, v):
     counts give u and v equal images under every morphism to a
     commutative monoid, and an idempotent maps to an idempotent, so no
     commutative quotient needs to be built."""
-    m = om.monoid
-    if sorted(u) != sorted(v):
-        return False
-    eu = eval_word(m, u)
-    if m.mul(eu, eu) != eu:
-        return False
-    return not om.leq(m.mul(m.mul(eu, eval_word(m, v)), eu), eu)
+    return sorted(u) == sorted(v) and _escapes(om, u, v)
 
 
 # ---------------------------------------------------------------------------

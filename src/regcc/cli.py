@@ -17,17 +17,15 @@ from .classify import (
     serialize_classification,
 )
 from .commcc import (
-    builtin_function, exact_deterministic_cc, language_problem,
-    max_fooling_set, min_cover, min_disjoint_cover, serialize_cover,
-    serialize_function, serialize_tree,
+    CC_FUNCTION_NAMES, PIP2_VARIANTS, builtin_function, exact_deterministic_cc,
+    language_problem, max_fooling_set, min_cover, min_disjoint_cover,
+    serialize_cover, serialize_function, serialize_tree,
 )
 from .monoid import serialize_monoid, syntactic_ordered_monoid, transition_monoid
 from .reductions import (
     BUILTIN_REDUCTION_NAMES, builtin_reduction,
     search_local_reduction_nonexistence, serialize_reduction, verify_reduction,
 )
-
-CC_FUNCTION_NAMES = ("EQ", "NEQ", "DISJ", "LT", "PDISJ", "IP", "PIP2")
 
 
 def _read_dfa(path: str):
@@ -121,8 +119,8 @@ def cmd_reduce(args):
     if args.action == "verify":
         reduction = builtin_reduction(args.name, q=args.q, variant=args.variant)
         _note(args, "verifying %s up to n=%d" % (args.name, args.n_max))
-        sys.stdout.write(serialize_reduction(reduction))
         report = verify_reduction(reduction, args.n_max)
+        sys.stdout.write(serialize_reduction(reduction))
         sys.stdout.write(report.serialize())
         return 0
     report = search_local_reduction_nonexistence(
@@ -172,8 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int)
     p.add_argument("--color", type=int, choices=[0, 1], default=1)
-    p.add_argument("--variant", default="TWO_SIDED",
-                   choices=["TWO_SIDED", "ZERO_SIDED"])
+    p.add_argument("--variant", default="TWO_SIDED", choices=PIP2_VARIANTS)
     p.set_defaults(func=cmd_cc)
 
     p = sub.add_parser("reduce", help="verify reductions, search non-existence")
@@ -182,8 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("name", choices=BUILTIN_REDUCTION_NAMES)
     v.add_argument("--n-max", type=int, default=4)
     v.add_argument("--q", type=int)
-    v.add_argument("--variant", default="TWO_SIDED",
-                   choices=["TWO_SIDED", "ZERO_SIDED"])
+    v.add_argument("--variant", default="TWO_SIDED", choices=PIP2_VARIANTS)
     v.set_defaults(func=cmd_reduce)
     s = action.add_parser("search-nonexistence")
     s.add_argument("--s-max", type=int, default=1)

@@ -11,12 +11,21 @@ program as fallback), deterministic protocol depth (one memoized search
 over row and column bipartitions, whose first optimal split at each node
 gives the protocol tree), maximum fooling set (maximum clique), maximum
 rectangle measure.
+
+Every solver but the protocol depth reads the matrix through ``_merged``:
+equal rows and equal columns become one merged row or column, ``masks[z][r]``
+holds the merged columns with a defined z in merged row r, and a merged cell
+(r, c) is the flat bit ``r * nc + c``.  Each optimum is the same on the
+merged matrix, since a cover, partition or fooling set of the original
+restricts to the group representatives and one of the merged matrix
+expands over the groups; ``_rectangle`` expands a merged (row mask, column
+mask) pair back to the original indices.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -169,6 +178,10 @@ def _submasks(m: int):
         s = (s - 1) & m
 
 
+CC_FUNCTION_NAMES = ("EQ", "NEQ", "DISJ", "LT", "PDISJ", "IP", "PIP2")
+PIP2_VARIANTS = ("TWO_SIDED", "ZERO_SIDED")
+
+
 def builtin_function(name: str, n: int, q: int | None = None,
                      variant: str = "TWO_SIDED") -> CommFunction:
     """Materialize a named two-party function on n-bit inputs.
@@ -215,7 +228,7 @@ def builtin_function(name: str, n: int, q: int | None = None,
                     for y in range(size))
             for x in range(size))
     elif name == "PIP2":
-        if variant not in ("TWO_SIDED", "ZERO_SIDED"):
+        if variant not in PIP2_VARIANTS:
             raise CcError("unknown PIP2 variant %r" % variant)
         rows = tuple("".join(_pip2_cell(labels[x], labels[y], variant)
                              for y in range(size)) for x in range(size))
@@ -270,17 +283,8 @@ def language_problem(d: Dfa, n: int) -> CommFunction:
     if len(letters) ** n > PROBLEM_CELL_CAP:
         raise CapError("language problem size %d^%d exceeds cap"
                        % (len(letters), n))
-    tuples = list(itertools.product(letters, repeat=n))
-    labels = tuple("".join(t) for t in tuples)
-    rows = []
-    for r in tuples:
-        row = []
-        for c in tuples:
-            word = "".join(a + b for a, b in zip(r, c))
-            row.append("1" if accepts(d, word) else "0")
-        rows.append("".join(row))
-    return CommFunction("language:%s" % ",".join(d.alphabet), labels, labels,
-                        tuple(rows), (("n", n),))
+    f = language_problem_partition(d, 2 * n, range(0, 2 * n, 2))
+    return replace(f, name="language:%s" % ",".join(d.alphabet), params=(("n", n),))
 
 
 def language_problem_partition(d: Dfa, total: int, alice_positions) -> CommFunction:
@@ -289,6 +293,8 @@ def language_problem_partition(d: Dfa, total: int, alice_positions) -> CommFunct
     alice_positions = tuple(sorted(alice_positions))
     if any(not 0 <= p < total for p in alice_positions):
         raise CcError("partition positions out of range")
+    if len(set(alice_positions)) != len(alice_positions):
+        raise CcError("partition positions repeat")
     bob_positions = tuple(p for p in range(total) if p not in alice_positions)
     letters = (EPSILON,) + tuple(d.alphabet)
     if len(letters) ** max(len(alice_positions), len(bob_positions), 1) > PROBLEM_CELL_CAP:
@@ -353,33 +359,43 @@ def monochromatic_color(f: CommFunction, rect: Rectangle,
     return seen.pop()
 
 
-def _dedup(f: CommFunction):
-    """Group equal rows and columns; returns (row reps, col reps,
-    row class lists, col class lists)."""
-    row_class = {}
-    row_groups = []
+def _merged(f: CommFunction):
+    """The matrix with equal rows and equal columns merged, each group in
+    order of first occurrence: (row groups, column groups, masks), where
+    ``masks[z][r]`` holds the merged columns with a defined z in merged
+    row r.  A merged cell (r, c) is flat bit ``r * nc + c``."""
+    rows, cols = {}, {}
     for i, row in enumerate(f.rows):
-        if row in row_class:
-            row_groups[row_class[row]].append(i)
-        else:
-            row_class[row] = len(row_groups)
-            row_groups.append([i])
-    cols = ["".join(f.rows[i][j] for i in range(f.n_rows)) for j in range(f.n_cols)]
-    col_class = {}
-    col_groups = []
-    for j, col in enumerate(cols):
-        if col in col_class:
-            col_groups[col_class[col]].append(j)
-        else:
-            col_class[col] = len(col_groups)
-            col_groups.append([j])
-    return ([g[0] for g in row_groups], [g[0] for g in col_groups],
-            row_groups, col_groups)
+        rows.setdefault(row, []).append(i)
+    for j, col in enumerate(zip(*f.rows)):
+        cols.setdefault(col, []).append(j)
+    reps = [g[0] for g in cols.values()]
+    masks = [[sum(1 << c for c, j in enumerate(reps) if row[j] == z)
+              for row in rows] for z in "01"]
+    return list(rows.values()), list(cols.values()), masks
 
 
-def _concepts(compat_rows, n_rows, n_cols):
-    """All maximal rectangles of a compatibility relation, as
-    (row mask, col mask) pairs with both sides nonempty."""
+def _cells(rows_mask, cols_mask, nc):
+    """Flat cell bits of the merged rectangle rows_mask x cols_mask."""
+    out = 0
+    for r in _mask_to_indices(rows_mask):
+        out |= cols_mask << (r * nc)
+    return out
+
+
+def _rectangle(row_groups, col_groups, rows_mask, cols_mask) -> Rectangle:
+    """The rectangle of the original matrix that a merged mask pair spans."""
+    return Rectangle(
+        tuple(sorted(i for r in _mask_to_indices(rows_mask) for i in row_groups[r])),
+        tuple(sorted(j for c in _mask_to_indices(cols_mask) for j in col_groups[c])))
+
+
+def _concepts(forbidden, n_cols):
+    """All maximal rectangles avoiding the cells of ``forbidden`` (per row,
+    a mask of its columns), as (row mask, col mask) pairs with both sides
+    nonempty."""
+    n_rows = len(forbidden)
+    compat_rows = [((1 << n_cols) - 1) & ~m for m in forbidden]
     all_rows = (1 << n_rows) - 1
     col_rows = []
     for c in range(n_cols):
@@ -441,32 +457,16 @@ def min_cover(f: CommFunction, z: int):
         raise CcError("color must be 0 or 1")
     if f.count(z) == 0:
         raise CcError("no %d-cells to cover" % z)
-    row_reps, col_reps, row_groups, col_groups = _dedup(f)
-    if len(row_reps) > COVER_CAP or len(col_reps) > COVER_CAP:
+    row_groups, col_groups, masks = _merged(f)
+    nr, nc = len(row_groups), len(col_groups)
+    if nr > COVER_CAP or nc > COVER_CAP:
         raise CapError("cover search capped at %dx%d distinct rows/columns"
                        % (COVER_CAP, COVER_CAP))
-    nr, nc = len(row_reps), len(col_reps)
-    other = str(1 - z)
-    compat = []
-    for r in row_reps:
-        mask = 0
-        for cj, c in enumerate(col_reps):
-            if f.rows[r][c] != other:
-                mask |= 1 << cj
-        compat.append(mask)
-    zcells = [(ri, cj) for ri, r in enumerate(row_reps)
-              for cj, c in enumerate(col_reps) if f.rows[r][c] == str(z)]
-    cell_index = {cell: k for k, cell in enumerate(zcells)}
-    universe = (1 << len(zcells)) - 1
+    universe = sum(m << (r * nc) for r, m in enumerate(masks[z]))
 
     candidates = []
-    for ext, inte in _concepts(compat, nr, nc):
-        cover_mask = 0
-        for ri in _mask_to_indices(ext):
-            for cj in _mask_to_indices(inte):
-                k = cell_index.get((ri, cj))
-                if k is not None:
-                    cover_mask |= 1 << k
+    for ext, inte in _concepts(masks[1 - z], nc):
+        cover_mask = _cells(ext, inte, nc) & universe
         if cover_mask:
             candidates.append((ext, inte, cover_mask))
 
@@ -480,11 +480,8 @@ def min_cover(f: CommFunction, z: int):
     candidates = kept
 
     count, picked = _set_cover_exact(universe, candidates)
-    rects = tuple(
-        Rectangle(
-            tuple(sorted(i for ri in _mask_to_indices(ext) for i in row_groups[ri])),
-            tuple(sorted(j for cj in _mask_to_indices(inte) for j in col_groups[cj])))
-        for ext, inte, _ in picked)
+    rects = tuple(_rectangle(row_groups, col_groups, ext, inte)
+                  for ext, inte, _ in picked)
     return count, Cover(z, rects)
 
 
@@ -492,10 +489,8 @@ def _set_cover_exact(universe, candidates):
     """Exact minimum set cover by branch and bound; candidates are
     (ext, inte, cover_mask) triples, deterministic order."""
     cell_cands = {}
-    k = universe.bit_length()
-    for idx in range(k):
-        bit = 1 << idx
-        cell_cands[idx] = [c for c in candidates if c[2] & bit]
+    for idx in _mask_to_indices(universe):
+        cell_cands[idx] = [c for c in candidates if c[2] >> idx & 1]
         if not cell_cands[idx]:
             raise CcError("cell %d cannot be covered" % idx)
 
@@ -522,9 +517,7 @@ def _set_cover_exact(universe, candidates):
             return
         # branch on the uncovered cell with fewest candidates
         pick_cands = None
-        for idx in range(k):
-            if covered >> idx & 1:
-                continue
+        for idx in _mask_to_indices(universe & ~covered):
             cands = cell_cands[idx]
             if pick_cands is None or len(cands) < len(pick_cands):
                 pick_cands = cands
@@ -563,15 +556,16 @@ def _rank_q(mat) -> int:
     return r
 
 
-def _greedy_partition(cands, cell_order):
-    """Deterministic greedy exact-cover: first uncovered cell, largest
-    admissible candidate.  ``cands``: (rows, cols, color, def_mask, foot_mask).
-    Always succeeds because single-cell hulls are among the candidates."""
+def _greedy_partition(cands, cells):
+    """Deterministic greedy exact-cover of the flat bits ``cells``: first
+    uncovered cell, largest admissible candidate.  ``cands``: (rows, cols,
+    color, def_mask, foot_mask).  Always succeeds because single-cell
+    hulls are among the candidates."""
     covered = used = 0
     picked = []
-    for cellbit in cell_order:
-        if covered & cellbit:
-            continue
+    rest = cells
+    while rest:
+        cellbit = rest & -rest
         best = None
         for cand in cands:
             if not (cand[3] & cellbit):
@@ -583,20 +577,18 @@ def _greedy_partition(cands, cell_order):
         covered |= best[3]
         used |= best[4]
         picked.append(best)
+        rest &= ~covered
     return picked
 
 
-def _partition_color_exact(cands_z, order_z, nr, nc, upper):
-    """Minimum exact cover of one color's cells by its rectangles.
+def _partition_color_exact(cands_z, full, nr, nc, upper):
+    """Minimum exact cover of one color's cells ``full`` by its rectangles.
 
     Iterative deepening from the rank bound; at each node the rank of the
     still-uncovered cell matrix must fit in the remaining budget, which
     forces nearly every placement to strictly reduce rank.  Raises CapError
     past the node cap so the caller can fall back to the integer program.
     """
-    full = 0
-    for bit in order_z:
-        full |= bit
     rank_cache = {}
 
     def rank_of(mask):
@@ -683,67 +675,49 @@ def min_disjoint_cover(f: CommFunction):
     an integer program settles any remaining gap."""
     if f.n_rows > DISJOINT_CAP or f.n_cols > DISJOINT_CAP:
         raise CapError("disjoint-cover search capped at %dx%d" % (DISJOINT_CAP, DISJOINT_CAP))
-    row_reps, col_reps, row_groups, col_groups = _dedup(f)
-    nr, nc = len(row_reps), len(col_reps)
-    vals = [[f.value(r, c) for c in col_reps] for r in row_reps]
-
-    raw = _closed_rectangles(vals, nr, nc)
+    row_groups, col_groups, masks = _merged(f)
+    nr, nc = len(row_groups), len(col_groups)
+    z_cells = [sum(m << (r * nc) for r, m in enumerate(masks[z])) for z in (0, 1)]
+    defined = z_cells[0] | z_cells[1]
+    undefined = ((1 << (nr * nc)) - 1) & ~defined
     cands = []
-    for rows_mask, cols_mask, color in raw:
-        def_mask = foot_mask = 0
-        for i in _mask_to_indices(rows_mask):
-            for j in _mask_to_indices(cols_mask):
-                bit = 1 << (i * nc + j)
-                foot_mask |= bit
-                if vals[i][j] is not None:
-                    def_mask |= bit
-        cands.append((rows_mask, cols_mask, color, def_mask, foot_mask))
-
-    has_undef = any(v is None for row in vals for v in row)
-    cell_order = [1 << (i * nc + j) for i in range(nr) for j in range(nc)
-                  if vals[i][j] is not None]
-    und_bits = [i * nc + j for i in range(nr) for j in range(nc)
-                if vals[i][j] is None]
+    for rows_mask, cols_mask, color in _closed_rectangles(masks, nc):
+        foot = _cells(rows_mask, cols_mask, nc)
+        cands.append((rows_mask, cols_mask, color, foot & defined, foot))
 
     picked = []
-    if not has_undef:
+    if not undefined:
         for z in (0, 1):
-            cands_z = [c for c in cands if c[2] == z]
-            order_z = [1 << (i * nc + j) for i in range(nr) for j in range(nc)
-                       if vals[i][j] == z]
-            if not order_z:
+            if not z_cells[z]:
                 continue
-            greedy = _greedy_partition(cands_z, order_z)
+            cands_z = [c for c in cands if c[2] == z]
+            greedy = _greedy_partition(cands_z, z_cells[z])
             try:
-                picked.extend(_partition_color_exact(cands_z, order_z, nr, nc,
+                picked.extend(_partition_color_exact(cands_z, z_cells[z], nr, nc,
                                                      len(greedy)))
             except CapError:
-                lower = _rank_q([[1 if vals[i][j] == z else 0 for j in range(nc)]
-                                 for i in range(nr)])
+                lower = _rank_q([[m >> c & 1 for c in range(nc)] for m in masks[z]])
                 picked.extend(_partition_milp(
-                    cands_z, [b.bit_length() - 1 for b in order_z], [],
-                    lower, len(greedy)))
+                    cands_z, _mask_to_indices(z_cells[z]), [], lower, len(greedy)))
     else:
-        greedy = _greedy_partition(cands, cell_order)
+        greedy = _greedy_partition(cands, defined)
         lower = max(1, sum(len(max_fooling_set(f, z)) for z in (0, 1) if f.count(z)))
         if len(greedy) == lower:
             picked = greedy
         else:
             picked = _partition_milp(
-                cands, [b.bit_length() - 1 for b in cell_order], und_bits,
+                cands, _mask_to_indices(defined), _mask_to_indices(undefined),
                 lower, len(greedy))
 
-    rects = tuple(
-        Rectangle(
-            tuple(sorted(i for ri in _mask_to_indices(rm) for i in row_groups[ri])),
-            tuple(sorted(j for cj in _mask_to_indices(cm) for j in col_groups[cj])))
-        for rm, cm, _c, _d, _f in sorted(picked))
+    rects = tuple(_rectangle(row_groups, col_groups, rm, cm)
+                  for rm, cm, _c, _d, _f in sorted(picked))
     return len(rects), Cover(None, rects)
 
 
-def _closed_rectangles(vals, nr, nc):
+def _closed_rectangles(masks, nc):
     """All monochromatic rectangles that are hulls of their defined cells,
-    as sorted (row mask, col mask, color) triples.
+    as sorted (row mask, col mask, color) triples; ``masks[z][r]`` holds
+    the columns, out of ``nc``, with a defined z in row r.
 
     Every partition can be rewritten to use only such rectangles: shrinking
     a part to the hull of its defined cells keeps it monochromatic and
@@ -759,13 +733,12 @@ def _closed_rectangles(vals, nr, nc):
     passes and the list is every z-monochromatic rectangle.  Raises
     CapError before visiting more than CONCEPT_CAP (R, C) pairs.
     """
-    row_def = [sum(1 << j for j in range(nc) if vals[i][j] is not None)
-               for i in range(nr)]
+    nr = len(masks[0])
+    row_def = [zeros | ones for zeros, ones in zip(*masks)]
     out = []
     visited = 0
     for z in (0, 1):
-        compat = [sum(1 << j for j in range(nc) if vals[i][j] != 1 - z)
-                  for i in range(nr)]
+        compat = [((1 << nc) - 1) & ~m for m in masks[1 - z]]
         intent = [(1 << nc) - 1] + [0] * ((1 << nr) - 1)
         reach = [0] * (1 << nr)
         for rows_mask in range(1, 1 << nr):
@@ -926,23 +899,23 @@ def max_fooling_set(f: CommFunction, z: int):
     """
     if f.n_rows > FOOLING_CAP or f.n_cols > FOOLING_CAP:
         raise CapError("fooling-set search capped at %dx%d" % (FOOLING_CAP, FOOLING_CAP))
-    row_reps, col_reps, _, _ = _dedup(f)
-    target = str(z)
-    other = str(1 - z)
-    cells = [(r, c) for r in row_reps for c in col_reps if f.rows[r][c] == target]
+    row_groups, col_groups, masks = _merged(f)
+    cells = [(r, c) for r, m in enumerate(masks[z]) for c in _mask_to_indices(m)]
     n = len(cells)
     if n == 0:
         return []
+    other = masks[1 - z]
     adj = [0] * n
     for a in range(n):
-        xa, ya = cells[a]
+        ra, ca = cells[a]
         for b in range(a + 1, n):
-            xb, yb = cells[b]
-            if f.rows[xa][yb] == other or f.rows[xb][ya] == other:
+            rb, cb = cells[b]
+            if other[ra] >> cb & 1 or other[rb] >> ca & 1:
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
     best_mask = _max_clique(adj, n)
-    return sorted(cells[i] for i in _mask_to_indices(best_mask))
+    return sorted((row_groups[cells[k][0]][0], col_groups[cells[k][1]][0])
+                  for k in _mask_to_indices(best_mask))
 
 
 def _max_clique(adj, n):
@@ -990,19 +963,12 @@ def max_rectangle_measure(f: CommFunction, z: int, measure: RectangleMeasure):
     rectangle."""
     if f.n_rows > MEASURE_CAP or f.n_cols > MEASURE_CAP:
         raise CapError("measure search capped at %dx%d" % (MEASURE_CAP, MEASURE_CAP))
-    other = str(1 - z)
-    compat = []
-    for i in range(f.n_rows):
-        mask = 0
-        for j in range(f.n_cols):
-            if f.rows[i][j] != other:
-                mask |= 1 << j
-        compat.append(mask)
+    row_groups, col_groups, masks = _merged(f)
     weights = measure.as_dict()
     best = 0
-    for ext, inte in _concepts(compat, f.n_rows, f.n_cols):
-        mass = sum(weights.get((i, j), 0)
-                   for i in _mask_to_indices(ext) for j in _mask_to_indices(inte))
+    for ext, inte in _concepts(masks[1 - z], len(col_groups)):
+        rect = _rectangle(row_groups, col_groups, ext, inte)
+        mass = sum(weights.get(cell, 0) for cell in rect.cells())
         if mass > best:
             best = mass
     return best

@@ -210,6 +210,8 @@ def verify_reduction(reduction, n_max: int) -> VerificationReport:
     Reports the first counterexample in canonical order, or PASS with the
     number of checked pairs.
     """
+    if n_max < 1:
+        raise CcError("verification needs n_max >= 1")
     checked = 0
     for n in range(1, n_max + 1):
         f = reduction.source(n)

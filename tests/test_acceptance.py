@@ -112,6 +112,8 @@ def test_criterion_06_sandwich_inequalities():
     with criterion(6, "fooling <= C^z <= C^D; D vs log C^D and cover product"):
         trees = hashlib.sha256()
         disjoint_covers = hashlib.sha256()
+        min_covers = hashlib.sha256()
+        fooling_sets = hashlib.sha256()
         for n in (1, 2, 3):
             for f in _builtins_at(n):
                 d, tree = exact_deterministic_cc(f)
@@ -123,9 +125,11 @@ def test_criterion_06_sandwich_inequalities():
                 for z in (0, 1):
                     if f.count(z) == 0:
                         continue
-                    covers[z] = min_cover(f, z)[0]
-                    fooling = len(max_fooling_set(f, z))
-                    assert fooling <= covers[z] <= cd, (f.name, n, z)
+                    covers[z], cover = min_cover(f, z)
+                    min_covers.update(serialize_cover(f, covers[z], cover).encode())
+                    fooling = max_fooling_set(f, z)
+                    fooling_sets.update(repr(fooling).encode())
+                    assert len(fooling) <= covers[z] <= cd, (f.name, n, z)
                 assert d >= log2ceil(cd), (f.name, n)
                 assert 2 ** d >= len(tree.leaves())
                 if 0 in covers and 1 in covers:
@@ -139,6 +143,11 @@ def test_criterion_06_sandwich_inequalities():
         # that changes one fails here
         assert disjoint_covers.hexdigest() == \
             "37c3196fc0a556ccc7156ad1f9d44e8e0001c86b15806a5deb247aa84e1dec13"
+        # the minimum covers of each color and the maximum fooling cells
+        assert min_covers.hexdigest() == \
+            "1456b820dafc94a70ba90beb4a55e287c68884c52615ec5bb0cebf6fa93abaf0"
+        assert fooling_sets.hexdigest() == \
+            "a3d436d428b40d37f8446ecddd4e66b6c65eeb355577019c624846d100392ecd"
 
 
 def test_criterion_07_ba2_plus_structure():

@@ -73,8 +73,9 @@ def test_polcom_witness_absent_in_polcom_languages():
 
 def test_witness_length_cap():
     om, _, _ = syntactic_ordered_monoid(builtin_language("BA2_LANG"))
-    with pytest.raises(CcError):
-        find_shuffle_witness(om, max_len=9)
+    for max_len in (-2, 0, 9):
+        with pytest.raises(CcError):
+            find_shuffle_witness(om, max_len=max_len)
 
 
 @pytest.mark.parametrize("replay, search", [

@@ -144,6 +144,18 @@ def test_reduce_verify_zero_sided_fails_with_counterexample(capsys):
     assert "status: FAIL" in out and "counterexample:" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("reduce", "verify", "lt_to_noncommutative", "--n-max", "0"),
+    ("classify", "BA2_LANG", "--max-witness-len", "-2"),
+])
+def test_vacuous_bounds_are_domain_errors(capsys, tmp_path, argv):
+    ba2 = tmp_path / "BA2_LANG.dfa"
+    ba2.write_text(serialize_dfa(builtin_language("BA2_LANG")))
+    argv = tuple(str(ba2) if a == "BA2_LANG" else a for a in argv)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
 def test_reduce_search_nonexistence(capsys):
     code, out, _ = run(capsys, "reduce", "search-nonexistence", "--s-max", "1")
     assert code == 0

@@ -304,6 +304,11 @@ def test_worst_case_partition_cross_check():
         assert best == reference
 
 
+def test_partition_rejects_repeated_positions():
+    with pytest.raises(CcError, match="repeat"):
+        language_problem_partition(builtin_language("BA2_LANG"), 2, [0, 0])
+
+
 # --- rectangles and covers ----------------------------------------------------
 
 def test_monochromatic_color():
@@ -435,8 +440,9 @@ def test_disjoint_cover_work_cap():
 @given(matrices("01*", 5, 5))
 def test_closed_rectangles_match_oracle(rows):
     f = as_function(rows)
-    vals = [[f.value(i, j) for j in range(f.n_cols)] for i in range(f.n_rows)]
-    assert _closed_rectangles(vals, f.n_rows, f.n_cols) == brute_closed_rectangles(f)
+    masks = [[sum(1 << j for j in range(f.n_cols) if f.value(i, j) == z)
+              for i in range(f.n_rows)] for z in (0, 1)]
+    assert _closed_rectangles(masks, f.n_cols) == brute_closed_rectangles(f)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
@@ -550,6 +556,20 @@ def test_measure_single_cell():
 def test_measure_negative_rejected():
     with pytest.raises(CcError):
         RectangleMeasure.from_dict({(0, 0): -1})
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(matrices("01*", 4, 4), st.data())
+def test_rectangle_measure_matches_brute_maximum(rows, data):
+    f = as_function(rows)
+    weight = st.integers(0, 9)
+    mu = RectangleMeasure.from_dict(
+        {(i, j): data.draw(weight) for i in range(f.n_rows) for j in range(f.n_cols)})
+    weights = mu.as_dict()
+    for z in (0, 1):
+        brute = max((sum(weights[cell] for cell in r.cells()) for r in all_rects(f)
+                     if all(f.value(i, j) != 1 - z for i, j in r.cells())), default=0)
+        assert max_rectangle_measure(f, z, mu) == brute
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

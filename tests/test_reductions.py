@@ -97,6 +97,11 @@ def test_verify_pdisj_to_ipq():
         assert rep.checked_pairs > 0
 
 
+def test_verify_rejects_an_empty_range():
+    with pytest.raises(CcError, match="n_max"):
+        verify_reduction(builtin_reduction("lt_to_noncommutative"), 0)
+
+
 def test_verify_shuffle():
     assert verify_reduction(builtin_reduction("pdisj_to_shuffle"), 4).status == "PASS"
 
