@@ -135,13 +135,17 @@ def is_shuffle(v: str, w1: str, w2: str) -> bool:
     return (len(w1), len(w2)) in reach
 
 
+def _check_witness_len(max_len: int):
+    if not 1 <= max_len <= MAX_WITNESS_LEN:
+        raise CcError("witness length must lie in 1..%d" % MAX_WITNESS_LEN)
+
+
 def _idempotent_words(om: OrderedMonoid, max_len: int):
     """(u, G) for each word u of length 1..max_len, by length and then
     lexicographically, whose value e is idempotent and whose G is not
     empty.  G, memoized per e, holds the elements y with e*y*e not below
     e: a word v completes a witness for u iff eval(v) is in G."""
-    if not 1 <= max_len <= MAX_WITNESS_LEN:
-        raise CcError("witness length must lie in 1..%d" % MAX_WITNESS_LEN)
+    _check_witness_len(max_len)
     m = om.monoid
     table = m.table
     failing = {}
@@ -340,6 +344,8 @@ def classify_nondet(obj, max_witness_len: int = DEFAULT_WITNESS_LEN) -> Classifi
     witness, then the polynomial-closure exclusion witness (reported as
     evidence only, never as a proven linear bound).
     """
+    # checked before the commutative return, so every monoid rejects it
+    _check_witness_len(max_witness_len)
     om, _ideal = _resolve(obj)
     m = om.monoid
     bounds = {"max_witness_len": max_witness_len}

@@ -9,7 +9,8 @@ Exact solvers: minimum rectangle cover (branch and bound over maximal
 rectangles), minimum disjoint cover (rank-bounded search with an integer
 program as fallback), deterministic protocol depth (one memoized search
 over row and column bipartitions, whose first optimal split at each node
-gives the protocol tree), maximum fooling set (maximum clique), maximum
+gives the protocol tree, stopped early at the rank bound on rectangles
+with no undefined cell), maximum fooling set (maximum clique), maximum
 rectangle measure.
 
 Every solver but the protocol depth reads the matrix through ``_merged``:
@@ -47,6 +48,11 @@ CONCEPT_CAP = 300_000
 # nodes of the rank-bounded partition search; past it the disjoint cover
 # falls back to the integer program
 PARTITION_NODE_CAP = 300_000
+# nodes entered by the minimum-cover branch and bound and by the fooling-set
+# clique search; at n <= 3 the built-ins need at most 18 607 and 38 (both
+# on EQ_3 color 0)
+COVER_NODE_CAP = 100_000
+CLIQUE_NODE_CAP = 25_000
 
 
 def _log2ceil(k: int) -> int:
@@ -487,7 +493,8 @@ def min_cover(f: CommFunction, z: int):
 
 def _set_cover_exact(universe, candidates):
     """Exact minimum set cover by branch and bound; candidates are
-    (ext, inte, cover_mask) triples, deterministic order."""
+    (ext, inte, cover_mask) triples, deterministic order.  Raises CapError
+    past COVER_NODE_CAP nodes."""
     cell_cands = {}
     for idx in _mask_to_indices(universe):
         cell_cands[idx] = [c for c in candidates if c[2] >> idx & 1]
@@ -504,31 +511,39 @@ def _set_cover_exact(universe, candidates):
     best_count = len(greedy)
     best_sel = list(greedy)
     max_size = max(c[2].bit_count() for c in candidates)
+    # branch on the uncovered cell with fewest candidates, the lowest of
+    # equals: the first uncovered one in this order
+    branch = [(1 << idx, cell_cands[idx])
+              for idx in sorted(cell_cands, key=lambda idx: len(cell_cands[idx]))]
+    nodes = 0
+
+    def bound(covered, picked):
+        # a child is entered only while it can still beat the incumbent
+        need = ((universe & ~covered).bit_count() + max_size - 1) // max_size
+        return picked + need < best_count
 
     def dfs(covered, sel):
-        nonlocal best_count, best_sel
-        if covered == universe:
-            if len(sel) < best_count:
-                best_count = len(sel)
-                best_sel = list(sel)
-            return
-        remaining = (universe & ~covered).bit_count()
-        if len(sel) + (remaining + max_size - 1) // max_size >= best_count:
-            return
-        # branch on the uncovered cell with fewest candidates
-        pick_cands = None
-        for idx in _mask_to_indices(universe & ~covered):
-            cands = cell_cands[idx]
-            if pick_cands is None or len(cands) < len(pick_cands):
-                pick_cands = cands
-                if len(cands) <= 1:
-                    break
+        nonlocal best_count, best_sel, nodes
+        nodes += 1
+        if nodes > COVER_NODE_CAP:
+            raise CapError("set-cover search exceeded the node cap")
+        uncovered = universe & ~covered
+        for bit, pick_cands in branch:
+            if uncovered & bit:
+                break
+        picked = len(sel) + 1
         for c in pick_cands:
-            sel.append(c)
-            dfs(covered | c[2], sel)
-            sel.pop()
+            after = covered | c[2]
+            if after == universe:
+                if picked < best_count:
+                    best_count, best_sel = picked, sel + [c]
+            elif bound(after, picked):
+                sel.append(c)
+                dfs(after, sel)
+                sel.pop()
 
-    dfs(0, [])
+    if bound(0, 0):
+        dfs(0, [])
     return best_count, best_sel
 
 
@@ -794,7 +809,14 @@ def exact_deterministic_cc(f: CommFunction):
     rows (columns) stay together, their groups sorted by content, and each
     split puts the first group and a subset of the others, counted up in
     binary, on one side.  A node takes the first split whose worst child is
-    least; a leaf takes the least defined color."""
+    least; a leaf takes the least defined color.
+
+    On a rectangle with no undefined cell a protocol tree has at least
+    rank(1-cells) + rank(0-cells) leaves (ranks over Q), so the depth is at
+    least lb = max(1, ceil(log2 of that sum)), and the search stops at the
+    first split reaching lb: no later split can beat a proven minimum, so
+    the rule above still picks it.  A rectangle with an undefined cell keeps
+    lb = 1, since the rank of a wildcard matrix bounds nothing."""
     if f.n_rows > EXACT_CC_CAP or f.n_cols > EXACT_CC_CAP:
         raise CapError("exact protocol search capped at %dx%d"
                        % (EXACT_CC_CAP, EXACT_CC_CAP))
@@ -829,6 +851,12 @@ def exact_deterministic_cc(f: CommFunction):
         row_idx, col_idx = _mask_to_indices(rows), _mask_to_indices(cols)
         if len(colors(row_idx, cols)) < 2:
             return 0, None
+        lb = 1
+        if not any(cols & ~(where[0][i] | where[1][i]) for i in row_idx):
+            # no undefined cell: leaves >= rank(1-cells) + rank(0-cells)
+            leaves = sum(_rank_q([[base[i][j] == z for j in col_idx] for i in row_idx])
+                         for z in (0, 1))
+            lb = max(1, _log2ceil(leaves))
         best, split = 10 ** 9, None
         for side in ("rows", "cols"):
             groups = {}
@@ -856,7 +884,7 @@ def exact_deterministic_cc(f: CommFunction):
                 d = 1 + max(d1, solve(*parts[1]))
                 if d < best:
                     best, split = d, (side, parts)
-                    if best == 1:
+                    if best <= lb:
                         return best, split
         return best, split
 
@@ -919,9 +947,11 @@ def max_fooling_set(f: CommFunction, z: int):
 
 
 def _max_clique(adj, n):
-    """Exact maximum clique with greedy-coloring bound."""
+    """Exact maximum clique with greedy-coloring bound.  Raises CapError
+    past CLIQUE_NODE_CAP nodes."""
     order = sorted(range(n), key=lambda v: -adj[v].bit_count())
     best = [0, 0]  # size, mask
+    nodes = 0
 
     def color_bound(p_mask):
         colors = []
@@ -939,6 +969,10 @@ def _max_clique(adj, n):
         return order_p, bounds
 
     def expand(r_mask, r_size, p_mask):
+        nonlocal nodes
+        nodes += 1
+        if nodes > CLIQUE_NODE_CAP:
+            raise CapError("fooling-set clique search exceeded the node cap")
         if not p_mask:
             if r_size > best[0]:
                 best[0], best[1] = r_size, r_mask

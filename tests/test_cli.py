@@ -147,11 +147,15 @@ def test_reduce_verify_zero_sided_fails_with_counterexample(capsys):
 @pytest.mark.parametrize("argv", [
     ("reduce", "verify", "lt_to_noncommutative", "--n-max", "0"),
     ("classify", "BA2_LANG", "--max-witness-len", "-2"),
+    # commutative: classified CONSTANT before any witness search runs
+    ("classify", "Z3_LANG", "--max-witness-len", "-2"),
+    ("classify", "Z3_LANG", "--max-witness-len", "99"),
 ])
 def test_vacuous_bounds_are_domain_errors(capsys, tmp_path, argv):
-    ba2 = tmp_path / "BA2_LANG.dfa"
-    ba2.write_text(serialize_dfa(builtin_language("BA2_LANG")))
-    argv = tuple(str(ba2) if a == "BA2_LANG" else a for a in argv)
+    for name in ("BA2_LANG", "Z3_LANG"):
+        (tmp_path / (name + ".dfa")).write_text(serialize_dfa(builtin_language(name)))
+    argv = tuple(str(tmp_path / (a + ".dfa")) if a.endswith("_LANG") else a
+                 for a in argv)
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == "" and err.startswith("error:")
 

@@ -424,6 +424,19 @@ def test_min_disjoint_cover_deepens_past_the_rank_bound(monkeypatch):
     assert (count, len(calls)) == (11, 2)
 
 
+def test_cover_and_clique_searches_raise_past_their_node_caps(monkeypatch):
+    f = builtin_function("EQ", 3)
+    assert min_cover(f, 0)[0] == 5
+    assert len(max_fooling_set(f, 0)) == 3
+    # on color 0, EQ_3 takes 18 607 cover nodes and 38 clique nodes
+    monkeypatch.setattr(commcc, "COVER_NODE_CAP", 1000)
+    monkeypatch.setattr(commcc, "CLIQUE_NODE_CAP", 20)
+    with pytest.raises(CapError, match="set-cover"):
+        min_cover(f, 0)
+    with pytest.raises(CapError, match="clique"):
+        max_fooling_set(f, 0)
+
+
 def test_disjoint_cover_cap():
     with pytest.raises(CapError):
         min_disjoint_cover(builtin_function("EQ", 5))
@@ -493,6 +506,45 @@ def test_exact_cc_matches_rule_oracle(rows):
     f = as_function(rows)
     everything = (tuple(range(f.n_rows)), tuple(range(f.n_cols)))
     assert exact_deterministic_cc(f) == rule_protocol_tree(f, *everything)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(matrices("01", 4, 4))
+def test_exact_cc_matches_rule_oracle_on_total_matrices(rows):
+    # every rectangle is all-defined, so each node may stop at its rank bound
+    f = as_function(rows)
+    everything = (tuple(range(f.n_rows)), tuple(range(f.n_cols)))
+    assert exact_deterministic_cc(f) == rule_protocol_tree(f, *everything)
+
+
+def rank_depth_bound(rows):
+    """max(1, log2 of rank(1-cells) + rank(0-cells)) on a non-constant total
+    matrix: its protocol tree has at least that many leaves."""
+    leaves = sum(_rank_q([[int(ch == z) for ch in row] for row in rows]) for z in "01")
+    return max(1, log2ceil(leaves))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(matrices("01", 6, 6))
+def test_rank_bound_is_at_most_the_depth(rows):
+    depth = exact_deterministic_cc(as_function(rows))[0]
+    if len({ch for row in rows for ch in row}) == 2:
+        assert rank_depth_bound(rows) <= depth
+    else:
+        assert depth == 0
+
+
+def test_rank_bound_skips_rectangles_with_wildcards():
+    # one row split separates the 1s from the 0s; with the * cells left out
+    # of both colors, ranks 3 + 1 would give a bound of 2, and the search
+    # would stop at the first split of depth 2
+    rows = ("1**", "*1*", "**1", "000")
+    f = as_function(rows)
+    assert rank_depth_bound(rows) == 2
+    everything = (tuple(range(f.n_rows)), tuple(range(f.n_cols)))
+    bits, tree = exact_deterministic_cc(f)
+    assert bits == 1
+    assert (bits, tree) == rule_protocol_tree(f, *everything)
 
 
 def test_promise_monotonicity():
