@@ -13,6 +13,12 @@ gives the protocol tree, stopped early at the rank bound on rectangles
 with no undefined cell), maximum fooling set (maximum clique), maximum
 rectangle measure.
 
+The cover search enters a node with uncovered cells U only while its picks
+plus ceil(|U| / max_c |c & U|), over the candidates c, can beat the
+incumbent.  No cover of U takes fewer rectangles, so the bound prunes only
+subtrees with no strictly better leaf: the printed cover stays the first
+optimal leaf in depth-first order, the one a weaker bound finds.
+
 Every solver but the protocol depth reads the matrix through ``_merged``:
 equal rows and equal columns become one merged row or column, ``masks[z][r]``
 holds the merged columns with a defined z in merged row r, and a merged cell
@@ -48,10 +54,11 @@ CONCEPT_CAP = 300_000
 # nodes of the rank-bounded partition search; past it the disjoint cover
 # falls back to the integer program
 PARTITION_NODE_CAP = 300_000
-# nodes entered by the minimum-cover branch and bound and by the fooling-set
-# clique search; at n <= 3 the built-ins need at most 18 607 and 38 (both
-# on EQ_3 color 0)
-COVER_NODE_CAP = 100_000
+# work of the minimum-cover branch and bound (one unit per child checked,
+# one per candidate per coverage evaluation) and nodes of the fooling-set
+# clique search; at n <= 3 the built-ins need at most 1 081 532 and 38
+# (both on EQ_3 color 0)
+COVER_WORK_CAP = 6_000_000
 CLIQUE_NODE_CAP = 25_000
 
 
@@ -476,14 +483,11 @@ def min_cover(f: CommFunction, z: int):
         if cover_mask:
             candidates.append((ext, inte, cover_mask))
 
-    # dominance: drop rectangles whose z-coverage is contained in an
-    # earlier (larger-or-equal) candidate's
     candidates.sort(key=lambda c: -c[2].bit_count())
-    kept = []
-    for cand in candidates:
-        if not any(cand[2] & ~other[2] == 0 for other in kept):
-            kept.append(cand)
-    candidates = kept
+    # on a total matrix every maximal rectangle covers all of its cells, so
+    # no candidate's coverage contains another's
+    if any(UNDEF in row for row in f.rows):
+        candidates = _undominated(candidates)
 
     count, picked = _set_cover_exact(universe, candidates)
     rects = tuple(_rectangle(row_groups, col_groups, ext, inte)
@@ -491,14 +495,50 @@ def min_cover(f: CommFunction, z: int):
     return count, Cover(z, rects)
 
 
+def _undominated(candidates):
+    """The candidates whose coverage no earlier (larger-or-equal) kept
+    candidate's contains; candidates come sorted by falling coverage."""
+    kept = []
+    for cand in candidates:
+        if not any(cand[2] & ~other[2] == 0 for other in kept):
+            kept.append(cand)
+    return kept
+
+
 def _set_cover_exact(universe, candidates):
     """Exact minimum set cover by branch and bound; candidates are
-    (ext, inte, cover_mask) triples, deterministic order.  Raises CapError
-    past COVER_NODE_CAP nodes."""
-    cell_cands = {}
-    for idx in _mask_to_indices(universe):
-        cell_cands[idx] = [c for c in candidates if c[2] >> idx & 1]
-        if not cell_cands[idx]:
+    (ext, inte, cover_mask) triples, deterministic order.
+
+    A child with uncovered cells U is entered only while its picks plus
+    need(U) = ceil(|U| / max_c |c & U|) can beat the incumbent.  The
+    parent's maximum bounds the child's from above, so the free check
+    with it runs first and the exact one second.  Raises CapError past
+    COVER_WORK_CAP units: one per child checked, one per candidate per
+    coverage evaluation."""
+    # the candidates' masks as rows of little-endian uint64 words
+    n_bytes = 8 * ((universe.bit_length() + 63) // 64)
+    data = b"".join(c[2].to_bytes(n_bytes, "little") for c in candidates)
+    table = np.frombuffer(data, dtype="<u8").reshape(len(candidates), n_bytes // 8)
+    work = 0
+
+    def charge(units):
+        nonlocal work
+        work += units
+        if work > COVER_WORK_CAP:
+            raise CapError("set-cover search exceeded the work cap")
+
+    def coverage(uncovered):
+        # max_c |c & uncovered| over the candidates
+        charge(len(candidates))
+        words = np.frombuffer(uncovered.to_bytes(n_bytes, "little"), dtype="<u8")
+        return int(np.bitwise_count(table & words).sum(axis=1).max())
+
+    cell_cands = {idx: [] for idx in _mask_to_indices(universe)}
+    for c in candidates:
+        for idx in _mask_to_indices(c[2]):
+            cell_cands[idx].append(c)
+    for idx, pick_cands in cell_cands.items():
+        if not pick_cands:
             raise CcError("cell %d cannot be covered" % idx)
 
     # greedy incumbent; max() keeps the first of equally-covering candidates
@@ -510,40 +550,37 @@ def _set_cover_exact(universe, candidates):
         covered |= best[2]
     best_count = len(greedy)
     best_sel = list(greedy)
-    max_size = max(c[2].bit_count() for c in candidates)
     # branch on the uncovered cell with fewest candidates, the lowest of
     # equals: the first uncovered one in this order
     branch = [(1 << idx, cell_cands[idx])
               for idx in sorted(cell_cands, key=lambda idx: len(cell_cands[idx]))]
-    nodes = 0
 
-    def bound(covered, picked):
-        # a child is entered only while it can still beat the incumbent
-        need = ((universe & ~covered).bit_count() + max_size - 1) // max_size
-        return picked + need < best_count
-
-    def dfs(covered, sel):
-        nonlocal best_count, best_sel, nodes
-        nodes += 1
-        if nodes > COVER_NODE_CAP:
-            raise CapError("set-cover search exceeded the node cap")
+    def dfs(covered, sel, most):
+        # most: the largest coverage of any candidate on this node's cells
+        nonlocal best_count, best_sel
         uncovered = universe & ~covered
         for bit, pick_cands in branch:
             if uncovered & bit:
                 break
         picked = len(sel) + 1
         for c in pick_cands:
+            charge(1)
             after = covered | c[2]
-            if after == universe:
+            rest = universe & ~after
+            left = rest.bit_count()
+            if not left:
                 if picked < best_count:
                     best_count, best_sel = picked, sel + [c]
-            elif bound(after, picked):
-                sel.append(c)
-                dfs(after, sel)
-                sel.pop()
+            elif picked + -(-left // most) < best_count:
+                child_most = coverage(rest)
+                if picked + -(-left // child_most) < best_count:
+                    sel.append(c)
+                    dfs(after, sel, child_most)
+                    sel.pop()
 
-    if bound(0, 0):
-        dfs(0, [])
+    most = max(c[2].bit_count() for c in candidates)
+    if -(-universe.bit_count() // most) < best_count:
+        dfs(0, [], most)
     return best_count, best_sel
 
 

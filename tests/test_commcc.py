@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -15,7 +16,7 @@ from regcc.commcc import (
     monoid_problem, serialize_cover, serialize_function,
     simulate_cover_protocol, validate_disjoint_cover,
 )
-from regcc.commcc import _closed_rectangles, _rank_q
+from regcc.commcc import _closed_rectangles, _mask_to_indices, _rank_q, _undominated
 from regcc.monoid import (
     FiniteMonoid, OrderedMonoid, ideal_generated, syntactic_ordered_monoid,
 )
@@ -52,6 +53,73 @@ def brute_min_cover(f, z):
             if cells <= covered:
                 return k
     raise AssertionError
+
+
+def reference_set_cover(universe, candidates):
+    """Oracle: the minimum-cover branch and bound with one global bound,
+    ceil(|uncovered| / largest candidate), for every node.  Its branching
+    cell, candidate order and strict-improvement incumbent rule are those
+    of ``commcc._set_cover_exact``, so the two return the same cover."""
+    cell_cands = {}
+    for idx in _mask_to_indices(universe):
+        cell_cands[idx] = [c for c in candidates if c[2] >> idx & 1]
+        if not cell_cands[idx]:
+            raise CcError("cell %d cannot be covered" % idx)
+
+    covered = 0
+    greedy = []
+    while covered != universe:
+        best = max(candidates, key=lambda c: (c[2] & ~covered).bit_count())
+        greedy.append(best)
+        covered |= best[2]
+    best_count = len(greedy)
+    best_sel = list(greedy)
+    max_size = max(c[2].bit_count() for c in candidates)
+    branch = [(1 << idx, cell_cands[idx])
+              for idx in sorted(cell_cands, key=lambda idx: len(cell_cands[idx]))]
+
+    def bound(covered, picked):
+        need = ((universe & ~covered).bit_count() + max_size - 1) // max_size
+        return picked + need < best_count
+
+    def dfs(covered, sel):
+        nonlocal best_count, best_sel
+        uncovered = universe & ~covered
+        for bit, pick_cands in branch:
+            if uncovered & bit:
+                break
+        picked = len(sel) + 1
+        for c in pick_cands:
+            after = covered | c[2]
+            if after == universe:
+                if picked < best_count:
+                    best_count, best_sel = picked, sel + [c]
+            elif bound(after, picked):
+                sel.append(c)
+                dfs(after, sel)
+                sel.pop()
+
+    if bound(0, 0):
+        dfs(0, [])
+    return best_count, best_sel
+
+
+def reference_min_cover(f, z):
+    with mock.patch.object(commcc, "_set_cover_exact", reference_set_cover):
+        return min_cover(f, z)
+
+
+def cover_candidates(f, z):
+    """The candidate list ``min_cover`` hands its search."""
+    seen = []
+
+    def capture(universe, candidates):
+        seen.append(candidates)
+        return reference_set_cover(universe, candidates)
+
+    with mock.patch.object(commcc, "_set_cover_exact", capture):
+        min_cover(f, z)
+    return seen[0]
 
 
 def brute_min_disjoint(f):
@@ -360,6 +428,42 @@ def test_min_cover_matches_brute_oracle_on_random_matrices(rows, z):
     assert set(f.z_cells(z)) <= covered
 
 
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(matrices("01*", 5, 5), st.sampled_from((0, 1)))
+def test_min_cover_matches_reference_search(rows, z):
+    # the per-node bound prunes only subtrees that cannot strictly beat the
+    # incumbent, so the count and the printed cover are the global bound's
+    f = as_function(rows)
+    assume(f.count(z) > 0)
+    assert min_cover(f, z) == reference_min_cover(f, z)
+
+
+def builtins_at(n):
+    for name, kw in (("EQ", {}), ("NEQ", {}), ("DISJ", {}), ("LT", {}),
+                     ("PDISJ", {}), ("IP", {"q": 2}), ("IP", {"q": 3}),
+                     ("PIP2", {"variant": "TWO_SIDED"}),
+                     ("PIP2", {"variant": "ZERO_SIDED"})):
+        yield builtin_function(name, n, **kw)
+
+
+def test_min_cover_matches_reference_search_on_builtins():
+    for n in (1, 2, 3):
+        for f in builtins_at(n):
+            for z in (0, 1):
+                if f.count(z):
+                    assert min_cover(f, z) == reference_min_cover(f, z), (f.name, n, z)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(matrices("01", 5, 5), st.sampled_from((0, 1)))
+def test_dominance_filter_keeps_every_candidate_on_total_matrices(rows, z):
+    # why min_cover skips the filter when no cell is undefined
+    f = as_function(rows)
+    assume(f.count(z) > 0)
+    candidates = cover_candidates(f, z)
+    assert _undominated(candidates) == candidates
+
+
 def test_min_cover_neq_frozen():
     # value recorded from the exhaustive oracle
     f = builtin_function("NEQ", 2)
@@ -428,8 +532,8 @@ def test_cover_and_clique_searches_raise_past_their_node_caps(monkeypatch):
     f = builtin_function("EQ", 3)
     assert min_cover(f, 0)[0] == 5
     assert len(max_fooling_set(f, 0)) == 3
-    # on color 0, EQ_3 takes 18 607 cover nodes and 38 clique nodes
-    monkeypatch.setattr(commcc, "COVER_NODE_CAP", 1000)
+    # on color 0, EQ_3 takes 1 081 532 cover work units and 38 clique nodes
+    monkeypatch.setattr(commcc, "COVER_WORK_CAP", 100_000)
     monkeypatch.setattr(commcc, "CLIQUE_NODE_CAP", 20)
     with pytest.raises(CapError, match="set-cover"):
         min_cover(f, 0)
