@@ -13,6 +13,11 @@ gives the protocol tree, stopped early at the rank bound on rectangles
 with no undefined cell), maximum fooling set (maximum clique), maximum
 rectangle measure.
 
+The cover and the measure search the maximal z-monochromatic rectangles.
+The column side of each is the intersection of its rows' allowed-column
+masks (an intent of formal concept analysis), so ``_concepts`` lists them
+as the intersection closure of those masks.
+
 The cover search enters a node with uncovered cells U only while its picks
 plus ceil(|U| / max_c |c & U|), over the candidates c, can beat the
 incumbent.  No cover of U takes fewer rectangles, so the bound prunes only
@@ -35,8 +40,6 @@ import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .automata import EPSILON, CapError, CcError, Dfa, accepts
 
@@ -49,7 +52,8 @@ DISJOINT_CAP = 16             # per side, partition search
 EXACT_CC_CAP = 8              # per side, protocol-depth search
 FOOLING_CAP = 64
 MEASURE_CAP = 32
-# maximal rectangles: nodes seen; partition candidates: (R, C) pairs visited
+# maximal rectangles: intersections kept; partition candidates: (R, C)
+# pairs visited
 CONCEPT_CAP = 300_000
 # nodes of the rank-bounded partition search; past it the disjoint cover
 # falls back to the integer program
@@ -405,49 +409,22 @@ def _rectangle(row_groups, col_groups, rows_mask, cols_mask) -> Rectangle:
 
 def _concepts(forbidden, n_cols):
     """All maximal rectangles avoiding the cells of ``forbidden`` (per row,
-    a mask of its columns), as (row mask, col mask) pairs with both sides
-    nonempty."""
-    n_rows = len(forbidden)
-    compat_rows = [((1 << n_cols) - 1) & ~m for m in forbidden]
-    all_rows = (1 << n_rows) - 1
-    col_rows = []
-    for c in range(n_cols):
-        mask = 0
-        for r in range(n_rows):
-            if compat_rows[r] >> c & 1:
-                mask |= 1 << r
-        col_rows.append(mask)
-
-    def intent(rowmask):
-        out = (1 << n_cols) - 1
-        r = rowmask
-        while r:
-            low = r & -r
-            out &= compat_rows[low.bit_length() - 1]
-            r ^= low
-        return out
-
-    start = (all_rows, intent(all_rows))
-    seen = {start}
-    queue = [start]
+    a mask of its columns), as sorted (row mask, col mask) pairs with both
+    sides nonempty: each intersection of the rows' allowed masks, built row
+    by row from all columns, with every row that allows it.  A row at most
+    doubles the set, so CapError past CONCEPT_CAP intersections bounds the
+    work to twice the cap."""
+    allowed = [((1 << n_cols) - 1) & ~m for m in forbidden]
+    intents = {(1 << n_cols) - 1}
+    for mask in allowed:
+        intents |= {inte & mask for inte in intents}
+        if len(intents) > CONCEPT_CAP:
+            raise CapError("maximal-rectangle enumeration exceeds cap")
     out = []
-    while queue:
-        ext, inte = queue.pop()
+    for inte in intents:
+        ext = sum(1 << r for r, mask in enumerate(allowed) if inte & mask == inte)
         if ext and inte:
             out.append((ext, inte))
-        for c in range(n_cols):
-            if inte >> c & 1:
-                continue
-            ext2 = ext & col_rows[c]
-            if not ext2:
-                continue
-            inte2 = intent(ext2)
-            node = (ext2, inte2)
-            if node not in seen:
-                if len(seen) > CONCEPT_CAP:
-                    raise CapError("maximal-rectangle enumeration exceeds cap")
-                seen.add(node)
-                queue.append(node)
     out.sort()
     return out
 
@@ -684,10 +661,22 @@ def _partition_color_exact(cands_z, full, nr, nc, upper):
     raise CapError("partition search failed below the greedy bound")
 
 
+def milp(*args, **kwargs):
+    """scipy.optimize.milp, imported on the first call so that only a
+    promise disjoint cover pays for scipy.  Kept as a module-level name
+    because perfbench/spans.py traces the binding regcc.commcc.milp."""
+    from scipy.optimize import milp as scipy_milp
+
+    return scipy_milp(*args, **kwargs)
+
+
 def _partition_milp(cands, cell_bits, und_bits, lower, upper):
     """Exact minimum exact-cover of the defined cell bits by candidates,
     with at-most-once use of undefined cells; lower/upper are valid bounds
     supplied as constraints so optimality closes at the known bound."""
+    from scipy import sparse
+    from scipy.optimize import Bounds, LinearConstraint
+
     n_vars = len(cands)
     eq_rows, eq_cols = [], []
     ub_rows, ub_cols = [], []

@@ -395,8 +395,11 @@ def builtin_reduction(name: str, q: int | None = None,
                       variant: str = "TWO_SIDED"):
     """Canonical instantiations of the named reductions."""
     if name == "pdisj_to_ipq":
+        q = 2 if q is None else q
+        if q < 2:
+            raise CcError("pdisj_to_ipq requires q >= 2")
         return AppendOnesReduction("pdisj_to_ipq", "PDISJ", None,
-                                   ACCEPT_IS_ONE, q=q or 2)
+                                   ACCEPT_IS_ONE, q=q)
     if name == "pdisj_to_shuffle":
         om, _ = builtin_monoid("BA2_PLUS")
         witness = find_shuffle_witness(om)
@@ -406,7 +409,7 @@ def builtin_reduction(name: str, q: int | None = None,
         gens = om.monoid.generator_map
         return group_reduction(om, gens["a"], gens["b"])
     if name == "ipq_to_tq":
-        om, _ = builtin_monoid("TQ_EXAMPLE", q=q or 3)
+        om, _ = builtin_monoid("TQ_EXAMPLE", q=3 if q is None else q)
         found = find_tq(om.monoid)
         return tq_reduction(om, found[1], found[2], found[0])
     if name == "lt_to_noncommutative":

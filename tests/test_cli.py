@@ -1,7 +1,11 @@
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
+import regcc
 from regcc.automata import builtin_language, builtin_language_names, serialize_dfa
 from regcc.cli import main
 
@@ -150,6 +154,10 @@ def test_reduce_verify_zero_sided_fails_with_counterexample(capsys):
     # commutative: classified CONSTANT before any witness search runs
     ("classify", "Z3_LANG", "--max-witness-len", "-2"),
     ("classify", "Z3_LANG", "--max-witness-len", "99"),
+    ("reduce", "verify", "pdisj_to_ipq", "--q", "0"),
+    ("reduce", "verify", "pdisj_to_ipq", "--q", "1"),
+    ("reduce", "verify", "pdisj_to_ipq", "--q", "-1"),
+    ("reduce", "verify", "ipq_to_tq", "--q", "0"),
 ])
 def test_vacuous_bounds_are_domain_errors(capsys, tmp_path, argv):
     for name in ("BA2_LANG", "Z3_LANG"):
@@ -158,6 +166,17 @@ def test_vacuous_bounds_are_domain_errors(capsys, tmp_path, argv):
                  for a in argv)
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_importing_regcc_leaves_scipy_unloaded():
+    # a fresh interpreter: this process may already hold scipy
+    src = os.path.dirname(os.path.dirname(os.path.abspath(regcc.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, regcc, regcc.cli, regcc.reductions; "
+            "print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
 
 
 def test_reduce_search_nonexistence(capsys):

@@ -16,7 +16,9 @@ from regcc.commcc import (
     monoid_problem, serialize_cover, serialize_function,
     simulate_cover_protocol, validate_disjoint_cover,
 )
-from regcc.commcc import _closed_rectangles, _mask_to_indices, _rank_q, _undominated
+from regcc.commcc import (
+    _closed_rectangles, _concepts, _mask_to_indices, _merged, _rank_q, _undominated,
+)
 from regcc.monoid import (
     FiniteMonoid, OrderedMonoid, ideal_generated, syntactic_ordered_monoid,
 )
@@ -102,6 +104,52 @@ def reference_set_cover(universe, candidates):
     if bound(0, 0):
         dfs(0, [])
     return best_count, best_sel
+
+
+def bfs_concepts(forbidden, n_cols):
+    """Oracle: the maximal rectangles avoiding ``forbidden`` by search over
+    (row mask, col mask) pairs, from all rows, each step narrowing the rows
+    to those allowing one more column and closing the columns again."""
+    n_rows = len(forbidden)
+    compat_rows = [((1 << n_cols) - 1) & ~m for m in forbidden]
+    all_rows = (1 << n_rows) - 1
+    col_rows = []
+    for c in range(n_cols):
+        mask = 0
+        for r in range(n_rows):
+            if compat_rows[r] >> c & 1:
+                mask |= 1 << r
+        col_rows.append(mask)
+
+    def intent(rowmask):
+        out = (1 << n_cols) - 1
+        r = rowmask
+        while r:
+            low = r & -r
+            out &= compat_rows[low.bit_length() - 1]
+            r ^= low
+        return out
+
+    start = (all_rows, intent(all_rows))
+    seen = {start}
+    queue = [start]
+    out = []
+    while queue:
+        ext, inte = queue.pop()
+        if ext and inte:
+            out.append((ext, inte))
+        for c in range(n_cols):
+            if inte >> c & 1:
+                continue
+            ext2 = ext & col_rows[c]
+            if not ext2:
+                continue
+            node = (ext2, intent(ext2))
+            if node not in seen:
+                seen.add(node)
+                queue.append(node)
+    out.sort()
+    return out
 
 
 def reference_min_cover(f, z):
@@ -452,6 +500,35 @@ def test_min_cover_matches_reference_search_on_builtins():
             for z in (0, 1):
                 if f.count(z):
                     assert min_cover(f, z) == reference_min_cover(f, z), (f.name, n, z)
+
+
+def test_concepts_match_bfs_on_builtins():
+    for n in (1, 2, 3):
+        for f in builtins_at(n):
+            _row_groups, col_groups, masks = _merged(f)
+            for z in (0, 1):
+                if f.count(z):
+                    assert _concepts(masks[1 - z], len(col_groups)) == \
+                        bfs_concepts(masks[1 - z], len(col_groups)), (f.name, n, z)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(matrices("01*", 8, 8))
+def test_concepts_match_bfs_on_random_matrices(rows):
+    # unmerged rows, so equal rows and rows with no forbidden cell occur
+    for z in (0, 1):
+        forbidden = [sum(1 << j for j, ch in enumerate(row) if ch == str(1 - z))
+                     for row in rows]
+        assert _concepts(forbidden, len(rows[0])) == bfs_concepts(forbidden, len(rows[0]))
+
+
+def test_concept_cap_stops_cover_and_measure():
+    # EQ_5's 0-rectangles are the 2^32 - 2 pairs (S, complement of S)
+    f = builtin_function("EQ", 5)
+    with pytest.raises(CapError, match="maximal-rectangle"):
+        min_cover(f, 0)
+    with pytest.raises(CapError, match="maximal-rectangle"):
+        max_rectangle_measure(f, 0, RectangleMeasure.indicator(f, 0))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
