@@ -49,7 +49,6 @@ MATERIALIZE_CAP = 12          # 2^n x 2^n builtin matrices
 PROBLEM_CELL_CAP = 4096       # rows of language/monoid problems
 COVER_CAP = 64                # per side, exact cover guarantee
 DISJOINT_CAP = 16             # per side, partition search
-EXACT_CC_CAP = 8              # per side, protocol-depth search
 FOOLING_CAP = 64
 MEASURE_CAP = 32
 # maximal rectangles: intersections kept; partition candidates: (R, C)
@@ -58,12 +57,21 @@ CONCEPT_CAP = 300_000
 # nodes of the rank-bounded partition search; past it the disjoint cover
 # falls back to the integer program
 PARTITION_NODE_CAP = 300_000
-# work of the minimum-cover branch and bound (one unit per child checked,
-# one per candidate per coverage evaluation) and nodes of the fooling-set
-# clique search; at n <= 3 the built-ins need at most 1 081 532 and 38
-# (both on EQ_3 color 0)
-COVER_WORK_CAP = 6_000_000
-CLIQUE_NODE_CAP = 25_000
+# work of one cover, clique or depth search call, in the units its docstring
+# names; at n <= 3 the built-ins spend at most 5 220 500 (PIP2 ZERO_SIDED depth)
+WORK_CAP = 6_000_000
+
+
+class _Budget:
+    """Work meter of one search call, charged before each step it counts."""
+
+    def __init__(self, search, cap=None):
+        self.search, self.cap, self.spent = search, WORK_CAP if cap is None else cap, 0
+
+    def charge(self, units):
+        self.spent += units
+        if self.spent > self.cap:
+            raise CapError("%s search exceeded %d work units" % (self.search, self.cap))
 
 
 def _log2ceil(k: int) -> int:
@@ -88,7 +96,10 @@ class CommFunction:
         if len(set(self.row_labels)) != len(self.row_labels) or \
                 len(set(self.col_labels)) != len(self.col_labels):
             raise CcError("labels must be distinct")
-        if not any(ch in "01" for r in self.rows for ch in r):
+        cells = set().union(*self.rows)
+        if not cells <= {"0", "1", UNDEF}:
+            raise CcError("cells must be 0, 1 or %s" % UNDEF)
+        if not cells & {"0", "1"}:
             raise CcError("function has no defined cell")
 
     @property
@@ -490,23 +501,17 @@ def _set_cover_exact(universe, candidates):
     need(U) = ceil(|U| / max_c |c & U|) can beat the incumbent.  The
     parent's maximum bounds the child's from above, so the free check
     with it runs first and the exact one second.  Raises CapError past
-    COVER_WORK_CAP units: one per child checked, one per candidate per
-    coverage evaluation."""
+    WORK_CAP units: one per child checked, one per candidate per coverage
+    evaluation."""
     # the candidates' masks as rows of little-endian uint64 words
     n_bytes = 8 * ((universe.bit_length() + 63) // 64)
     data = b"".join(c[2].to_bytes(n_bytes, "little") for c in candidates)
     table = np.frombuffer(data, dtype="<u8").reshape(len(candidates), n_bytes // 8)
-    work = 0
-
-    def charge(units):
-        nonlocal work
-        work += units
-        if work > COVER_WORK_CAP:
-            raise CapError("set-cover search exceeded the work cap")
+    budget = _Budget("set-cover")
 
     def coverage(uncovered):
         # max_c |c & uncovered| over the candidates
-        charge(len(candidates))
+        budget.charge(len(candidates))
         words = np.frombuffer(uncovered.to_bytes(n_bytes, "little"), dtype="<u8")
         return int(np.bitwise_count(table & words).sum(axis=1).max())
 
@@ -541,7 +546,7 @@ def _set_cover_exact(universe, candidates):
                 break
         picked = len(sel) + 1
         for c in pick_cands:
-            charge(1)
+            budget.charge(1)
             after = covered | c[2]
             rest = universe & ~after
             left = rest.bit_count()
@@ -629,17 +634,14 @@ def _partition_color_exact(cands_z, full, nr, nc, upper):
         return got
 
     by_size = sorted(cands_z, key=lambda c: (-c[3].bit_count(), c[:2]))
-    nodes = 0
+    work = _Budget("partition", PARTITION_NODE_CAP)
 
     def dfs(remaining, budget, acc):
-        nonlocal nodes
         if not remaining:
             return list(acc)
         if budget == 0:
             return None
-        nodes += 1
-        if nodes > PARTITION_NODE_CAP:
-            raise CapError("partition search exceeded the node cap")
+        work.charge(1)
         if rank_of(remaining) > budget:
             return None
         cellbit = remaining & -remaining
@@ -777,7 +779,7 @@ def _closed_rectangles(masks, nc):
     nr = len(masks[0])
     row_def = [zeros | ones for zeros, ones in zip(*masks)]
     out = []
-    visited = 0
+    budget = _Budget("partition-candidate", CONCEPT_CAP)
     for z in (0, 1):
         compat = [((1 << nc) - 1) & ~m for m in masks[1 - z]]
         intent = [(1 << nc) - 1] + [0] * ((1 << nr) - 1)
@@ -790,9 +792,7 @@ def _closed_rectangles(masks, nc):
             space = intent[rows_mask] & reach[rows_mask]
             if not space:
                 continue
-            visited += (1 << space.bit_count()) - 1
-            if visited > CONCEPT_CAP:
-                raise CapError("partition candidate enumeration exceeds cap")
+            budget.charge((1 << space.bit_count()) - 1)
             # rows defined on all of space pass for every C
             partial = [row_def[r] & space for r in _mask_to_indices(rows_mask)
                        if row_def[r] & space != space]
@@ -842,20 +842,18 @@ def exact_deterministic_cc(f: CommFunction):
     least lb = max(1, ceil(log2 of that sum)), and the search stops at the
     first split reaching lb: no later split can beat a proven minimum, so
     the rule above still picks it.  A rectangle with an undefined cell keeps
-    lb = 1, since the rank of a wildcard matrix bounds nothing."""
-    if f.n_rows > EXACT_CC_CAP or f.n_cols > EXACT_CC_CAP:
-        raise CapError("exact protocol search capped at %dx%d"
-                       % (EXACT_CC_CAP, EXACT_CC_CAP))
+    lb = 1, since the rank of a wildcard matrix bounds nothing.  Raises
+    CapError past WORK_CAP units: per r x c rectangle, r*c per canonical form
+    on a cache miss and per split search, 2*r*c*min(r, c) per rank and the
+    group count per split tried."""
     n_cols = f.n_cols
-    base = tuple(tuple(-1 if v is None else v
-                       for v in (f.value(i, j) for j in range(n_cols)))
-                 for i in range(f.n_rows))
+    base = tuple(tuple(-1 if ch == UNDEF else int(ch) for ch in row) for row in f.rows)
     # where[z][i]: the columns holding a z in row i
     where = [[sum(1 << j for j, v in enumerate(row) if v == z) for row in base]
              for z in (0, 1)]
     memo = {}  # canonical content -> depth
-    # depth per rectangle at index rows mask << n_cols | cols mask, 255 unsolved
-    by_rect = bytearray([255]) * (1 << (f.n_rows + n_cols))
+    by_rect = {}  # rows mask << n_cols | cols mask -> depth
+    budget = _Budget("protocol-depth")
 
     def colors(row_idx, cols):
         return [z for z in (0, 1) if any(where[z][i] & cols for i in row_idx)]
@@ -875,11 +873,14 @@ def exact_deterministic_cc(f: CommFunction):
         None at a leaf, else (side, (part_a, part_b)), the first split in
         the rule's order that reaches the depth."""
         row_idx, col_idx = _mask_to_indices(rows), _mask_to_indices(cols)
+        r, c = len(row_idx), len(col_idx)
+        budget.charge(r * c)
         if len(colors(row_idx, cols)) < 2:
             return 0, None
         lb = 1
         if not any(cols & ~(where[0][i] | where[1][i]) for i in row_idx):
             # no undefined cell: leaves >= rank(1-cells) + rank(0-cells)
+            budget.charge(4 * r * c * min(r, c))
             leaves = sum(_rank_q([[base[i][j] == z for j in col_idx] for i in row_idx])
                          for z in (0, 1))
             lb = max(1, _log2ceil(leaves))
@@ -894,6 +895,7 @@ def exact_deterministic_cc(f: CommFunction):
             count = len(masks)
             # part_a holds group 0; every proper complement appears once
             for pick in range((1 << (count - 1)) - 1):
+                budget.charge(count)
                 part_a, part_b = masks[0], 0
                 for k in range(1, count):
                     if pick >> (k - 1) & 1:
@@ -916,8 +918,9 @@ def exact_deterministic_cc(f: CommFunction):
 
     def solve(rows, cols):
         rect = rows << n_cols | cols
-        d = by_rect[rect]
-        if d == 255:
+        d = by_rect.get(rect)
+        if d is None:
+            budget.charge(rows.bit_count() * cols.bit_count())
             key = canon(_mask_to_indices(rows), _mask_to_indices(cols))
             d = memo.get(key)
             if d is None:
@@ -974,10 +977,10 @@ def max_fooling_set(f: CommFunction, z: int):
 
 def _max_clique(adj, n):
     """Exact maximum clique with greedy-coloring bound.  Raises CapError
-    past CLIQUE_NODE_CAP nodes."""
+    past WORK_CAP units: n per node, the vertices its coloring scans."""
     order = sorted(range(n), key=lambda v: -adj[v].bit_count())
     best = [0, 0]  # size, mask
-    nodes = 0
+    budget = _Budget("fooling-set clique")
 
     def color_bound(p_mask):
         colors = []
@@ -995,10 +998,7 @@ def _max_clique(adj, n):
         return order_p, bounds
 
     def expand(r_mask, r_size, p_mask):
-        nonlocal nodes
-        nodes += 1
-        if nodes > CLIQUE_NODE_CAP:
-            raise CapError("fooling-set clique search exceeded the node cap")
+        budget.charge(n)
         if not p_mask:
             if r_size > best[0]:
                 best[0], best[1] = r_size, r_mask

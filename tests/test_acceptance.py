@@ -11,14 +11,14 @@ import io
 import itertools
 from contextlib import contextmanager, redirect_stdout
 
-from regcc.automata import Dfa, builtin_language
+from regcc.automata import CapError, Dfa, builtin_language
 from regcc.classify import builtin_monoid, classify_nondet, verify_certificate
 from regcc.cli import main
 from regcc.commcc import (
-    RectangleMeasure, builtin_function, exact_deterministic_cc,
+    Rectangle, RectangleMeasure, builtin_function, exact_deterministic_cc,
     max_fooling_set, max_rectangle_measure, min_cover, min_disjoint_cover,
-    monoid_problem, serialize_cover, serialize_tree, simulate_cover_protocol,
-    validate_disjoint_cover,
+    monochromatic_color, monoid_problem, serialize_cover, serialize_tree,
+    simulate_cover_protocol, validate_disjoint_cover,
 )
 from regcc.monoid import eval_word, ideal_generated, syntactic_ordered_monoid
 from regcc.reductions import (
@@ -265,3 +265,24 @@ def test_criterion_13_empirical_tier_growth():
         counts = [min_cover(monoid_problem(om, ideal, n), 1)[0]
                   for n in (1, 2, 3)]
         assert counts[0] < counts[1] < counts[2], counts
+
+
+def test_criterion_14_exact_depth_at_n4():
+    with criterion(14, "D = 5 at N = 4; leaves >= fooling_0 + fooling_1"):
+        for name, q in (("EQ", None), ("NEQ", None), ("LT", None),
+                        ("DISJ", None), ("IP", 2)):
+            args = ("--q", str(q)) if q else ()
+            assert "bits: 5\n" in cli("cc", "exact", name, "--n", "4", *args)
+            f = builtin_function(name, 4, q=q)
+            d, tree = exact_deterministic_cc(f)
+            assert d == 5
+            leaves = tree.leaves()
+            for leaf in leaves:
+                rect = Rectangle(leaf.rows, leaf.cols)
+                assert monochromatic_color(f, rect) == leaf.color, (name, leaf)
+            try:
+                fooling = sum(len(max_fooling_set(f, z)) for z in (0, 1))
+            except CapError:
+                # IP q=2 color 1 needs 173 448 clique nodes, past the work cap
+                continue
+            assert len(leaves) >= fooling, (name, len(leaves), fooling)

@@ -442,6 +442,15 @@ def test_rectangle_nonempty():
         Rectangle((), (0,))
 
 
+def test_function_rejects_cells_other_than_0_1_and_undefined():
+    # any other character would act as a wildcard in the covers and crash
+    # the depth search
+    with pytest.raises(CcError, match="cells must be"):
+        CommFunction("bad", ("a", "b"), ("c", "d"), ("1x", "01"))
+    with pytest.raises(CcError, match="no defined cell"):
+        CommFunction("undefined", ("a",), ("c", "d"), ("**",))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_min_cover_eq(n):
     f = builtin_function("EQ", n)
@@ -609,13 +618,15 @@ def test_cover_and_clique_searches_raise_past_their_node_caps(monkeypatch):
     f = builtin_function("EQ", 3)
     assert min_cover(f, 0)[0] == 5
     assert len(max_fooling_set(f, 0)) == 3
-    # on color 0, EQ_3 takes 1 081 532 cover work units and 38 clique nodes
-    monkeypatch.setattr(commcc, "COVER_WORK_CAP", 100_000)
-    monkeypatch.setattr(commcc, "CLIQUE_NODE_CAP", 20)
+    # on color 0, EQ_3 takes 1 081 532 cover and 2 128 clique work units;
+    # PDISJ_3's depth search takes 2 709 383
+    monkeypatch.setattr(commcc, "WORK_CAP", 1000)
     with pytest.raises(CapError, match="set-cover"):
         min_cover(f, 0)
     with pytest.raises(CapError, match="clique"):
         max_fooling_set(f, 0)
+    with pytest.raises(CapError, match="protocol-depth"):
+        exact_deterministic_cc(builtin_function("PDISJ", 3))
 
 
 def test_disjoint_cover_cap():
@@ -677,8 +688,10 @@ def test_exact_cc_constant():
 
 
 def test_exact_cc_cap():
-    with pytest.raises(CapError):
-        exact_deterministic_cc(builtin_function("EQ", 4))
+    # the depth search has no size cap: 16x16 IP q=3 (root rank bound 5)
+    # runs past its work cap
+    with pytest.raises(CapError, match="protocol-depth"):
+        exact_deterministic_cc(builtin_function("IP", 4, q=3))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
