@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .automata import CcError, Dfa, builtin_language
 from .monoid import (
-    FiniteMonoid, OrderedMonoid, check_property, divides, division_map,
+    OrderedMonoid, check_property, divides, division_map,
     eval_word, find_tq, nonabelian_subgroup_witness,
     syntactic_ordered_monoid, tq_period, transition_monoid,
 )
@@ -115,13 +115,6 @@ def builtin_monoid(name: str, q: int | None = None):
 # ---------------------------------------------------------------------------
 # witness searches
 
-def _generator_words(m: FiniteMonoid, max_len: int):
-    letters = sorted(m.generator_map)
-    for n in range(1, max_len + 1):
-        for tup in itertools.product(letters, repeat=n):
-            yield "".join(tup)
-
-
 def is_shuffle(v: str, w1: str, w2: str) -> bool:
     """True iff v interleaves w1 and w2 preserving their internal order."""
     if len(v) != len(w1) + len(w2):
@@ -148,22 +141,63 @@ def _idempotent_words(om: OrderedMonoid, max_len: int):
     _check_witness_len(max_len)
     m = om.monoid
     table = m.table
+    letters = sorted(m.generator_map)
     failing = {}
-    for u in _generator_words(m, max_len):
-        e = eval_word(m, u)
-        if table[e][e] != e:
-            continue
-        if e not in failing:
-            failing[e] = frozenset(y for y in range(m.size)
-                                   if not om.leq(table[table[e][y]][e], e))
-        if failing[e]:
-            yield u, failing[e]
+    for n in range(1, max_len + 1):
+        for tup in itertools.product(letters, repeat=n):
+            u = "".join(tup)
+            e = eval_word(m, u)
+            if table[e][e] != e:
+                continue
+            if e not in failing:
+                failing[e] = frozenset(y for y in range(m.size)
+                                       if not om.leq(table[table[e][y]][e], e))
+            if failing[e]:
+                yield u, failing[e]
 
 
-def _meets(om: OrderedMonoid, p: int, values, failing) -> bool:
-    """True iff p*s lies in ``failing`` for some s in ``values``."""
-    row = om.monoid.table[p]
-    return any(row[s] in failing for s in values)
+def _first_completion(om: OrderedMonoid, state, moves, failing, values):
+    """The first word, in walk order, that leads from ``state`` to a state
+    with no moves and whose value lies in ``failing``; None if none does.
+
+    ``moves(s)`` lists the (letter, next state) pairs of s in walk order.
+    ``values`` memoizes the set of values of all completions of a state,
+    and the caller keeps it for a whole search: {1} for a state with no
+    moves, else the union of g(a)*values(t) over its moves (a, t).  No
+    completion is listed: the word is walked out with a prefix value p,
+    taking at each step the first move whose p*g(a)*values(t) meets
+    ``failing``.  Equal completions have one value, so the walk returns
+    the same word whether or not duplicates are reached twice."""
+    m = om.monoid
+    table, gens = m.table, m.generator_map
+
+    def completions(s):
+        found = values.get(s)
+        if found is None:
+            step = moves(s)
+            if step:
+                found = frozenset(table[gens[a]][x]
+                                  for a, t in step for x in completions(t))
+            else:
+                found = frozenset((m.identity,))
+            values[s] = found
+        return found
+
+    if completions(state).isdisjoint(failing):
+        return None
+    word, p = "", m.identity
+    step = moves(state)
+    while step:
+        for a, state in step[:-1]:
+            row = table[table[p][gens[a]]]
+            if any(row[x] in failing for x in completions(state)):
+                break
+        else:
+            # some move succeeds, so the last one needs no check
+            a, state = step[-1]
+        word, p = word + a, table[p][gens[a]]
+        step = moves(state)
+    return word
 
 
 def find_shuffle_witness(om: OrderedMonoid, max_len: int = DEFAULT_WITNESS_LEN):
@@ -176,45 +210,22 @@ def find_shuffle_witness(om: OrderedMonoid, max_len: int = DEFAULT_WITNESS_LEN):
     w2's.  Splits 0 and |u| give v = u, and e*e*e = e is below e, so they
     are never tried.
 
-    No interleaving is listed.  V(x, y), the set of values of all
-    interleavings of the words x and y, is memoized for the whole search:
-    V(x, '') = V('', x) = {eval(x)} and V(x, y) = g(x0)*V(x[1:], y) union
-    g(y0)*V(x, y[1:]).  With G(e) from ``_idempotent_words``, a split is
-    skipped when V(w1, w2) misses G(e).  Otherwise v is walked out with a
-    prefix value p, taking w1's next letter g whenever p*g*V(rest) meets
-    G(e), else w2's: that is the first succeeding leaf of the
-    first-word-first walk.  Equal interleavings have one value, so the
-    walk returns the same v whether or not duplicates are skipped.
+    Each split is one ``_first_completion`` walk with G(e) from
+    ``_idempotent_words``: the state is the pair (rest of w1, rest of w2)
+    and the moves spend w1's next letter, then w2's.
     """
-    m = om.monoid
-    table, gens = m.table, m.generator_map
+    def interleavings(state):
+        w1, w2 = state
+        return ([(w1[0], (w1[1:], w2))] if w1 else []) + \
+               ([(w2[0], (w1, w2[1:]))] if w2 else [])
+
     values = {}
-
-    def interleaved(x, y):
-        found = values.get((x, y))
-        if found is None:
-            if not x or not y:
-                found = frozenset((eval_word(m, x + y),))
-            else:
-                gx, gy = table[gens[x[0]]], table[gens[y[0]]]
-                found = frozenset([gx[s] for s in interleaved(x[1:], y)] +
-                                  [gy[s] for s in interleaved(x, y[1:])])
-            values[x, y] = found
-        return found
-
     for u, g in _idempotent_words(om, max_len):
         for split in range(1, len(u)):
             w1, w2 = u[:split], u[split:]
-            if interleaved(w1, w2).isdisjoint(g):
+            v = _first_completion(om, (w1, w2), interleavings, g, values)
+            if v is None:
                 continue
-            v, p, i, j = "", m.identity, 0, 0
-            while i < len(w1) or j < len(w2):
-                if i < len(w1):
-                    q = table[p][gens[w1[i]]]
-                    if _meets(om, q, interleaved(w1[i + 1:], w2[j:]), g):
-                        v, p, i = v + w1[i], q, i + 1
-                        continue
-                v, p, j = v + w2[j], table[p][gens[w2[j]]], j + 1
             witness = (u, w1, w2, v)
             if not is_shuffle_witness(om, *witness):
                 raise CcError("shuffle witness %r fails its replay" % (witness,))
@@ -253,53 +264,26 @@ def find_polcom_exclusion_witness(om: OrderedMonoid,
     computed.  Equal letter counts force equal length, so v runs over the
     rearrangements of u in lexicographic order.
 
-    No rearrangement is listed.  W(c), the set of values of the words
-    with letter counts c, is memoized for the whole search: W(0) = {1} and
-    W(c) is the union over letters a with c_a > 0 of g_a*W(c - e_a).  With
-    G(e) from ``_idempotent_words``, u is skipped when W(counts of u) misses
-    G(e); otherwise v is walked out with a prefix value p, taking at each
-    step the least letter a with p*g_a*W(c - e_a) meeting G(e): that is
-    the lexicographically first rearrangement that succeeds.
+    Each u is one ``_first_completion`` walk with G(e) from
+    ``_idempotent_words``: the state is the tuple of letter counts still
+    to spend, and each move spends one letter, least first.
     """
-    m = om.monoid
-    table = m.table
-    letters = sorted(m.generator_map)
-    gens = [m.generator_map[a] for a in letters]
+    letters = sorted(om.monoid.generator_map)
+
+    def rearrangements(counts):
+        return [(letters[k], counts[:k] + (c - 1,) + counts[k + 1:])
+                for k, c in enumerate(counts) if c]
+
     values = {}
-
-    def rearranged(counts):
-        found = values.get(counts)
-        if found is None:
-            if not any(counts):
-                found = frozenset((m.identity,))
-            else:
-                found = frozenset(
-                    table[gens[k]][s] for k in range(len(gens)) if counts[k]
-                    for s in rearranged(_spend(counts, k)))
-            values[counts] = found
-        return found
-
     for u, g in _idempotent_words(om, max_len):
         counts = tuple(map(u.count, letters))
-        if rearranged(counts).isdisjoint(g):
+        v = _first_completion(om, counts, rearrangements, g, values)
+        if v is None:
             continue
-        v, p = "", m.identity
-        while any(counts):
-            held = [k for k, c in enumerate(counts) if c]
-            # some held letter succeeds, so the last one needs no check
-            k = next((k for k in held[:-1]
-                      if _meets(om, table[p][gens[k]], rearranged(_spend(counts, k)), g)),
-                     held[-1])
-            v, p, counts = v + letters[k], table[p][gens[k]], _spend(counts, k)
         if not _replay_polcom(om, u, v):
             raise CcError("polcom witness %r fails its replay" % ((u, v),))
         return u, v
     return None
-
-
-def _spend(counts, k):
-    """``counts`` with one fewer of letter k."""
-    return counts[:k] + (counts[k] - 1,) + counts[k + 1:]
 
 
 def _replay_polcom(om, u, v):

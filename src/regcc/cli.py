@@ -42,18 +42,28 @@ def _note(args, message):
         print(message, file=sys.stderr)
 
 
+def _options(args, owners):
+    """The --q and --variant values given, as keyword arguments; giving
+    one to a name outside its ``owners`` entry is a domain error."""
+    kwargs = {}
+    for option, names in owners.items():
+        value = getattr(args, option)
+        if value is None:
+            continue
+        if args.name not in names:
+            raise CcError("--%s does not apply to %s" % (option, args.name))
+        kwargs[option] = value
+    return kwargs
+
+
 def _function(args):
     name = args.name
     if name not in CC_FUNCTION_NAMES:
         raise CcError("unknown function %r; one of %s"
                       % (name, ", ".join(CC_FUNCTION_NAMES)))
-    kwargs = {}
-    if name == "IP":
-        if args.q is None:
-            raise CcError("IP requires --q")
-        kwargs["q"] = args.q
-    if name == "PIP2":
-        kwargs["variant"] = args.variant
+    kwargs = _options(args, {"q": ("IP",), "variant": ("PIP2",)})
+    if name == "IP" and "q" not in kwargs:
+        raise CcError("IP requires --q")
     return builtin_function(name, args.n, **kwargs)
 
 
@@ -88,6 +98,7 @@ def cmd_classify(args):
 
 def cmd_cc(args):
     if args.measure == "language":
+        _options(args, {"q": (), "variant": ()})
         f = language_problem(_read_dfa(args.name), args.n)
         sys.stdout.write(serialize_function(f))
         return 0
@@ -117,7 +128,8 @@ def cmd_cc(args):
 
 def cmd_reduce(args):
     if args.action == "verify":
-        reduction = builtin_reduction(args.name, q=args.q, variant=args.variant)
+        reduction = builtin_reduction(args.name, **_options(
+            args, {"q": ("pdisj_to_ipq", "ipq_to_tq"), "variant": ("pip2_to_L5",)}))
         _note(args, "verifying %s up to n=%d" % (args.name, args.n_max))
         report = verify_reduction(reduction, args.n_max)
         sys.stdout.write(serialize_reduction(reduction))
@@ -168,9 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["exact", "cover", "disjoint", "fooling", "language"])
     p.add_argument("name", help="function name, or a DFA file for 'language'")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int)
+    p.add_argument("--q", type=int, help="IP only")
     p.add_argument("--color", type=int, choices=[0, 1], default=1)
-    p.add_argument("--variant", default="TWO_SIDED", choices=PIP2_VARIANTS)
+    p.add_argument("--variant", choices=PIP2_VARIANTS, help="PIP2 only")
     p.set_defaults(func=cmd_cc)
 
     p = sub.add_parser("reduce", help="verify reductions, search non-existence")
@@ -178,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     v = action.add_parser("verify")
     v.add_argument("name", choices=BUILTIN_REDUCTION_NAMES)
     v.add_argument("--n-max", type=int, default=4)
-    v.add_argument("--q", type=int)
-    v.add_argument("--variant", default="TWO_SIDED", choices=PIP2_VARIANTS)
+    v.add_argument("--q", type=int, help="pdisj_to_ipq and ipq_to_tq only")
+    v.add_argument("--variant", choices=PIP2_VARIANTS, help="pip2_to_L5 only")
     v.set_defaults(func=cmd_reduce)
     s = action.add_parser("search-nonexistence")
     s.add_argument("--s-max", type=int, default=1)

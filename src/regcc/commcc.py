@@ -615,13 +615,15 @@ def _greedy_partition(cands, cells):
     return picked
 
 
-def _partition_color_exact(cands_z, full, nr, nc, upper):
+def _partition_color_exact(cands_z, full, nr, nc):
     """Minimum exact cover of one color's cells ``full`` by its rectangles.
 
     Iterative deepening from the rank bound; at each node the rank of the
     still-uncovered cell matrix must fit in the remaining budget, which
-    forces nearly every placement to strictly reduce rank.  Raises CapError
-    past the node cap so the caller can fall back to the integer program.
+    forces nearly every placement to strictly reduce rank.  Some depth
+    succeeds, since the rank bound is valid and a partition exists.
+    Raises CapError past the node cap so the caller can fall back to the
+    integer program.
     """
     rank_cache = {}
 
@@ -655,12 +657,11 @@ def _partition_color_exact(cands_z, full, nr, nc, upper):
         return None
 
     budget = rank_of(full)
-    while budget <= upper:
+    while True:
         got = dfs(full, budget, [])
         if got is not None:
             return got
         budget += 1
-    raise CapError("partition search failed below the greedy bound")
 
 
 def milp(*args, **kwargs):
@@ -714,8 +715,10 @@ def min_disjoint_cover(f: CommFunction):
     Total functions split per color (opposite-color rectangles cannot
     meet without undefined cells) and each color is bounded below by the
     exact rank of its 0/1 matrix over Q: a partition sums outer products
-    to that matrix.  A deterministic greedy supplies the upper bound and
-    an integer program settles any remaining gap."""
+    to that matrix.  Each color deepens from that bound; past
+    PARTITION_NODE_CAP an integer program bounded by a greedy partition
+    settles it.  A promise matrix takes the greedy partition when it meets
+    the fooling-set bound, else the integer program."""
     if f.n_rows > DISJOINT_CAP or f.n_cols > DISJOINT_CAP:
         raise CapError("disjoint-cover search capped at %dx%d" % (DISJOINT_CAP, DISJOINT_CAP))
     row_groups, col_groups, masks = _merged(f)
@@ -734,12 +737,11 @@ def min_disjoint_cover(f: CommFunction):
             if not z_cells[z]:
                 continue
             cands_z = [c for c in cands if c[2] == z]
-            greedy = _greedy_partition(cands_z, z_cells[z])
             try:
-                picked.extend(_partition_color_exact(cands_z, z_cells[z], nr, nc,
-                                                     len(greedy)))
+                picked.extend(_partition_color_exact(cands_z, z_cells[z], nr, nc))
             except CapError:
                 lower = _rank_q([[m >> c & 1 for c in range(nc)] for m in masks[z]])
+                greedy = _greedy_partition(cands_z, z_cells[z])
                 picked.extend(_partition_milp(
                     cands_z, _mask_to_indices(z_cells[z]), [], lower, len(greedy)))
     else:

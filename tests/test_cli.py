@@ -158,6 +158,16 @@ def test_reduce_verify_zero_sided_fails_with_counterexample(capsys):
     ("reduce", "verify", "pdisj_to_ipq", "--q", "1"),
     ("reduce", "verify", "pdisj_to_ipq", "--q", "-1"),
     ("reduce", "verify", "ipq_to_tq", "--q", "0"),
+    # --q and --variant given where they select nothing
+    ("cc", "exact", "EQ", "--n", "2", "--q", "5"),
+    ("cc", "disjoint", "PIP2", "--n", "2", "--q", "2"),
+    ("cc", "cover", "IP", "--n", "2", "--q", "2", "--variant", "TWO_SIDED"),
+    ("cc", "language", "BA2_LANG", "--n", "2", "--q", "2"),
+    ("cc", "language", "BA2_LANG", "--n", "2", "--variant", "ZERO_SIDED"),
+    ("reduce", "verify", "lt_to_noncommutative", "--q", "7"),
+    ("reduce", "verify", "pip2_to_L5", "--q", "3"),
+    ("reduce", "verify", "pdisj_to_shuffle", "--variant", "TWO_SIDED"),
+    ("reduce", "verify", "pdisj_to_ipq", "--variant", "ZERO_SIDED"),
 ])
 def test_vacuous_bounds_are_domain_errors(capsys, tmp_path, argv):
     for name in ("BA2_LANG", "Z3_LANG"):

@@ -25,9 +25,11 @@ from dataclasses import replace
 import pytest
 
 from regcc import monoid
-from regcc.automata import CapError, CcError, Dfa, builtin_language, minimize
+from regcc.automata import (
+    CapError, CcError, Dfa, builtin_language, builtin_language_names, minimize,
+)
 from regcc.classify import (
-    Certificate, builtin_monoid, classify_nondet,
+    BUILTIN_MONOID_NAMES, Certificate, builtin_monoid, classify_nondet,
     find_polcom_exclusion_witness, find_shuffle_witness, is_shuffle,
     verify_certificate,
 )
@@ -559,6 +561,34 @@ def test_divides_decides_large_monoids():
     ok, cert = divides(builtin_monoid("BA2_PLUS")[0], om)
     assert ok and len(cert[2]) == 6
     assert [eval_word(om, w) for w in ("a", "b")] == list(cert[0])
+
+
+# --- oracle: commutativity decided on the generators alone -----------------
+
+def first_noncommuting_generators(om):
+    """First pair x < y of distinct generator elements with xy != yx."""
+    m = om.monoid
+    gens = sorted(set(m.generator_map.values()))
+    return next(((x, y) for x, y in itertools.combinations(gens, 2)
+                 if m.mul(x, y) != m.mul(y, x)), None)
+
+
+def test_commutative_witness_is_the_first_noncommuting_generator_pair():
+    # unrelabelled monoids only: relabelling can move the generators
+    monoids = [syntactic_ordered_monoid(builtin_language(name))[0]
+               for name in builtin_language_names()]
+    monoids += [builtin_monoid(name, q=3)[0] if name == "TQ_EXAMPLE"
+                else builtin_monoid(name)[0] for name in BUILTIN_MONOID_NAMES]
+    monoids += [om for seed in (20261019, 20261020, 20261024)
+                for _, om in small_monoids(seed, 120)]
+    found = three_letters = 0
+    for om in monoids:
+        commutative, pair = check_property(om, "commutative")
+        assert pair == first_noncommuting_generators(om), om.monoid.names
+        assert commutative == (pair is None)
+        found += pair is not None
+        three_letters += pair is not None and len(om.monoid.generator_map) == 3
+    assert len(monoids) >= 300 and found >= 150 and three_letters >= 40
 
 
 # --- oracle: polynomial-closure exclusion witness by a full word scan -------
