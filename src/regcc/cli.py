@@ -9,6 +9,7 @@ error, 2 usage error.  Progress notes go to standard error only with
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .automata import CcError, builtin_language_names, minimize, parse_dfa, serialize_dfa
@@ -97,6 +98,9 @@ def cmd_classify(args):
 
 
 def cmd_cc(args):
+    if args.color is not None and args.measure not in ("cover", "fooling"):
+        raise CcError("--color does not apply to cc %s" % args.measure)
+    color = 1 if args.color is None else args.color
     if args.measure == "language":
         _options(args, {"q": (), "variant": ()})
         f = language_problem(_read_dfa(args.name), args.n)
@@ -110,7 +114,7 @@ def cmd_cc(args):
                          % (f.name, args.n, bits, len(tree.leaves())))
         sys.stdout.write(serialize_tree(tree))
     elif args.measure == "cover":
-        count, cover = min_cover(f, args.color)
+        count, cover = min_cover(f, color)
         sys.stdout.write("function: %s\nn: %d\n" % (f.name, args.n))
         sys.stdout.write(serialize_cover(f, count, cover))
     elif args.measure == "disjoint":
@@ -118,9 +122,9 @@ def cmd_cc(args):
         sys.stdout.write("function: %s\nn: %d\n" % (f.name, args.n))
         sys.stdout.write(serialize_cover(f, count, cover))
     elif args.measure == "fooling":
-        cells = max_fooling_set(f, args.color)
+        cells = max_fooling_set(f, color)
         sys.stdout.write("function: %s\nn: %d\ncolor: %d\nsize: %d\n"
-                         % (f.name, args.n, args.color, len(cells)))
+                         % (f.name, args.n, color, len(cells)))
         for i, j in cells:
             sys.stdout.write("cell: %s,%s\n" % (f.row_labels[i], f.col_labels[j]))
     return 0
@@ -181,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", help="function name, or a DFA file for 'language'")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, help="IP only")
-    p.add_argument("--color", type=int, choices=[0, 1], default=1)
+    p.add_argument("--color", type=int, choices=[0, 1],
+                   help="cover and fooling only; 1 when not given")
     p.add_argument("--variant", choices=PIP2_VARIANTS, help="PIP2 only")
     p.set_defaults(func=cmd_cc)
 
@@ -208,9 +213,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except CcError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed standard output: point it at devnull so that
+        # the exit-time flush of what is still buffered raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output closed", file=sys.stderr)
         return 1
 
 

@@ -6,12 +6,12 @@ wildcards inside rectangles: a z-monochromatic rectangle must avoid defined
 (1-z) cells only.
 
 Exact solvers: minimum rectangle cover (branch and bound over maximal
-rectangles), minimum disjoint cover (rank-bounded search with an integer
-program as fallback), deterministic protocol depth (one memoized search
-over row and column bipartitions, whose first optimal split at each node
-gives the protocol tree, stopped early at the rank bound on rectangles
-with no undefined cell), maximum fooling set (maximum clique), maximum
-rectangle measure.
+rectangles), minimum disjoint cover (rank-bounded search on total
+functions, an integer program on promise ones), deterministic protocol
+depth (one memoized search over row and column bipartitions, whose first
+optimal split at each node gives the protocol tree, stopped early at the
+rank bound on rectangles with no undefined cell), maximum fooling set
+(maximum clique), maximum rectangle measure.
 
 The cover and the measure search the maximal z-monochromatic rectangles.
 The column side of each is the intersection of its rows' allowed-column
@@ -54,11 +54,9 @@ MEASURE_CAP = 32
 # maximal rectangles: intersections kept; partition candidates: (R, C)
 # pairs visited
 CONCEPT_CAP = 300_000
-# nodes of the rank-bounded partition search; past it the disjoint cover
-# falls back to the integer program
-PARTITION_NODE_CAP = 300_000
-# work of one cover, clique or depth search call, in the units its docstring
-# names; at n <= 3 the built-ins spend at most 5 220 500 (PIP2 ZERO_SIDED depth)
+# work of one cover, clique, depth or partition search call, in the units its
+# docstring names; at n <= 3 the built-ins spend at most 5 220 500 (PIP2
+# ZERO_SIDED depth)
 WORK_CAP = 6_000_000
 
 
@@ -621,34 +619,36 @@ def _partition_color_exact(cands_z, full, nr, nc):
     Iterative deepening from the rank bound; at each node the rank of the
     still-uncovered cell matrix must fit in the remaining budget, which
     forces nearly every placement to strictly reduce rank.  Some depth
-    succeeds, since the rank bound is valid and a partition exists.
-    Raises CapError past the node cap so the caller can fall back to the
-    integer program.
+    succeeds, since the rank bound is valid and a partition exists.  The
+    cells below a node's lowest uncovered cell are covered, so a fitting
+    candidate has that cell as its own lowest: ``by_low`` lists the
+    candidates by lowest cell, largest first.  Raises CapError past
+    WORK_CAP units: one per candidate tried, nr*nc per rank computed.
     """
     rank_cache = {}
+    work = _Budget("partition")
 
     def rank_of(mask):
         got = rank_cache.get(mask)
         if got is None:
+            work.charge(nr * nc)
             got = _rank_q([[1 if mask >> (i * nc + j) & 1 else 0
                             for j in range(nc)] for i in range(nr)])
             rank_cache[mask] = got
         return got
 
-    by_size = sorted(cands_z, key=lambda c: (-c[3].bit_count(), c[:2]))
-    work = _Budget("partition", PARTITION_NODE_CAP)
+    by_low = {}
+    for cand in sorted(cands_z, key=lambda c: (-c[3].bit_count(), c[:2])):
+        by_low.setdefault(cand[3] & -cand[3], []).append(cand)
 
     def dfs(remaining, budget, acc):
         if not remaining:
             return list(acc)
-        if budget == 0:
+        if budget == 0 or rank_of(remaining) > budget:
             return None
-        work.charge(1)
-        if rank_of(remaining) > budget:
-            return None
-        cellbit = remaining & -remaining
-        for cand in by_size:
-            if cand[3] & cellbit and cand[3] & ~remaining == 0:
+        for cand in by_low[remaining & -remaining]:
+            work.charge(1)
+            if cand[3] & ~remaining == 0:
                 acc.append(cand)
                 got = dfs(remaining & ~cand[3], budget - 1, acc)
                 acc.pop()
@@ -715,10 +715,10 @@ def min_disjoint_cover(f: CommFunction):
     Total functions split per color (opposite-color rectangles cannot
     meet without undefined cells) and each color is bounded below by the
     exact rank of its 0/1 matrix over Q: a partition sums outer products
-    to that matrix.  Each color deepens from that bound; past
-    PARTITION_NODE_CAP an integer program bounded by a greedy partition
-    settles it.  A promise matrix takes the greedy partition when it meets
-    the fooling-set bound, else the integer program."""
+    to that matrix.  Each color deepens from that bound under the
+    partition search's work cap.  A promise matrix takes the greedy
+    partition when it meets the fooling-set bound, else the integer
+    program."""
     if f.n_rows > DISJOINT_CAP or f.n_cols > DISJOINT_CAP:
         raise CapError("disjoint-cover search capped at %dx%d" % (DISJOINT_CAP, DISJOINT_CAP))
     row_groups, col_groups, masks = _merged(f)
@@ -737,13 +737,7 @@ def min_disjoint_cover(f: CommFunction):
             if not z_cells[z]:
                 continue
             cands_z = [c for c in cands if c[2] == z]
-            try:
-                picked.extend(_partition_color_exact(cands_z, z_cells[z], nr, nc))
-            except CapError:
-                lower = _rank_q([[m >> c & 1 for c in range(nc)] for m in masks[z]])
-                greedy = _greedy_partition(cands_z, z_cells[z])
-                picked.extend(_partition_milp(
-                    cands_z, _mask_to_indices(z_cells[z]), [], lower, len(greedy)))
+            picked.extend(_partition_color_exact(cands_z, z_cells[z], nr, nc))
     else:
         greedy = _greedy_partition(cands, defined)
         lower = max(1, sum(len(max_fooling_set(f, z)) for z in (0, 1) if f.count(z)))

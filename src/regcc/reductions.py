@@ -270,7 +270,11 @@ def shuffle_reduction(om: OrderedMonoid, u: str, w1: str, w2: str,
 
 def group_reduction(om: OrderedMonoid, a: int, b: int) -> LocalReduction:
     """IP_q to (G, <identity>) where q is the order of the commutator of a
-    and b; requires a, b invertible with a non-trivial commutator."""
+    and b; requires a, b invertible with a non-trivial commutator.
+
+    Every product of the entries is a unit, and a unit u <= 1 is 1: by
+    stability 1 = u^p <= ... <= u <= 1.  So a product lies in the ideal
+    below 1 exactly when it is 1, with no condition on the order."""
     m = om.monoid
 
     def inverse(x):
@@ -285,15 +289,12 @@ def group_reduction(om: OrderedMonoid, a: int, b: int) -> LocalReduction:
     if commutator == m.identity:
         raise CcError("the chosen elements commute")
     q = m.cycles[commutator][1]     # a unit's order is its period
-    anchor = m.identity
-    if any(x != anchor and om.leq(x, anchor) for x in range(m.size)):
-        raise CcError("anchor element is not minimal in the order")
     ee = m.identity
     return LocalReduction(
         "ipq_to_group", "IP", ((ee, ee), (ai, a)), ((ee, ee), (bi, b)),
         alice_prefix=(), bob_prefix=(),
-        alice_suffix=(anchor,), bob_suffix=(ee,),
-        target=MonoidTarget(om, ideal_generated(om, [anchor])),
+        alice_suffix=(ee,), bob_suffix=(ee,),
+        target=MonoidTarget(om, ideal_generated(om, [ee])),
         polarity=ACCEPT_IS_ONE, source_q=q)
 
 

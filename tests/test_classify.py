@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from regcc.automata import CcError, Dfa, builtin_language
@@ -130,6 +132,25 @@ def test_s3_nonabelian_subgroup():
     groups = maximal_subgroups(om.monoid)
     assert any(len(g) == 6 for _, g in groups)
     assert nonabelian_subgroup_witness(om.monoid) is not None
+
+
+def test_subgroup_replay_matches_inverse_search():
+    # S3 with a sink letter c: a subgroup at 1 and a trivial one at c
+    d = Dfa(("a", "b", "c"), 4, 0, frozenset({0, 3}),
+            ((1, 2, 0, 3), (1, 0, 2, 3), (3, 3, 3, 3)))
+    om, _, _ = syntactic_ordered_monoid(d)
+    m = om.monoid
+    replays = 0
+    for e, g1, g2 in itertools.product(range(m.size), repeat=3):
+        cert = Certificate.make("nonabelian_subgroup",
+                                e=m.names[e], g1=m.names[g1], g2=m.names[g2])
+        local = {m.mul(m.mul(e, x), e) for x in range(m.size)}
+        oracle = m.mul(e, e) == e and m.mul(g1, g2) != m.mul(g2, g1) and all(
+            g in local and any(m.mul(g, h) == e == m.mul(h, g) for h in local)
+            for g in (g1, g2))
+        assert verify_certificate(om, cert) == oracle
+        replays += oracle
+    assert replays == 18        # 36 ordered pairs of S3, 18 commuting
 
 
 def test_ba2_plus_top_element():

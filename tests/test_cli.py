@@ -164,6 +164,10 @@ def test_reduce_verify_zero_sided_fails_with_counterexample(capsys):
     ("cc", "cover", "IP", "--n", "2", "--q", "2", "--variant", "TWO_SIDED"),
     ("cc", "language", "BA2_LANG", "--n", "2", "--q", "2"),
     ("cc", "language", "BA2_LANG", "--n", "2", "--variant", "ZERO_SIDED"),
+    # --color given to a measure that takes no color
+    ("cc", "exact", "EQ", "--n", "2", "--color", "0"),
+    ("cc", "disjoint", "EQ", "--n", "2", "--color", "1"),
+    ("cc", "language", "BA2_LANG", "--n", "2", "--color", "0"),
     ("reduce", "verify", "lt_to_noncommutative", "--q", "7"),
     ("reduce", "verify", "pip2_to_L5", "--q", "3"),
     ("reduce", "verify", "pdisj_to_shuffle", "--variant", "TWO_SIDED"),
@@ -187,6 +191,30 @@ def test_importing_regcc_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "False\n"
+
+
+def test_closed_stdout_is_a_domain_error():
+    # the read end closes before the child writes, so its first flush
+    # meets a broken pipe
+    src = os.path.dirname(os.path.dirname(os.path.abspath(regcc.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "regcc.cli", "cc", "exact", "EQ", "--n", "2"],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+def test_cover_and_fooling_default_to_color_one(capsys):
+    for measure in ("cover", "fooling"):
+        assert run(capsys, "cc", measure, "EQ", "--n", "2") == \
+            run(capsys, "cc", measure, "EQ", "--n", "2", "--color", "1")
 
 
 def test_reduce_search_nonexistence(capsys):

@@ -603,15 +603,37 @@ def test_min_disjoint_cover_deepens_past_the_rank_bound(monkeypatch):
     validate_disjoint_cover(f, cover)
     assert count == 11
     assert sum(monochromatic_color(f, r) == 1 for r in cover.rectangles) == 6
-    # past the node cap each color falls back to the integer program
-    calls = []
-    milp = commcc._partition_milp
-    monkeypatch.setattr(commcc, "PARTITION_NODE_CAP", 0)
-    monkeypatch.setattr(commcc, "_partition_milp",
-                        lambda *args: calls.append(args) or milp(*args))
-    count, cover = min_disjoint_cover(f)
-    validate_disjoint_cover(f, cover)
-    assert (count, len(calls)) == (11, 2)
+    # the work meter stops the search; no integer program stands behind it
+    with monkeypatch.context() as patch:
+        patch.setattr(commcc, "WORK_CAP", 100)
+        with pytest.raises(CapError, match="partition search"):
+            min_disjoint_cover(f)
+
+    def no_milp(*args):
+        raise AssertionError("integer program on a total function")
+
+    # every total built-in at n <= 3 answers without the integer program
+    monkeypatch.setattr(commcc, "_partition_milp", no_milp)
+    for n in (1, 2, 3):
+        for name, kwargs in (("EQ", {}), ("NEQ", {}), ("DISJ", {}), ("LT", {}),
+                             ("IP", {"q": 2}), ("IP", {"q": 3})):
+            g = builtin_function(name, n, **kwargs)
+            count, cover = min_disjoint_cover(g)
+            validate_disjoint_cover(g, cover)
+            assert count == len(cover.rectangles)
+
+
+def test_partition_search_work_cap(monkeypatch):
+    # 12x12 total, distinct rows and columns: the rank-bounded search
+    # deepens for minutes without a meter; 200 000 units take about 0.5 s
+    rows = ("111011111011", "101111111111", "110111111101", "011111111010",
+            "111011111001", "101111111110", "011101110101", "010111111111",
+            "101110100110", "111110101011", "111010111111", "111111011111")
+    f = CommFunction("M12", tuple("r%d" % i for i in range(12)),
+                     tuple("c%d" % j for j in range(12)), rows)
+    monkeypatch.setattr(commcc, "WORK_CAP", 200_000)
+    with pytest.raises(CapError, match="partition search"):
+        min_disjoint_cover(f)
 
 
 def test_cover_and_clique_searches_raise_past_their_node_caps(monkeypatch):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from regcc.automata import EPSILON, CcError, accepts, builtin_language
+from regcc.automata import EPSILON, CcError, Dfa, accepts, builtin_language
 from regcc.classify import builtin_monoid
 from regcc.monoid import eval_word, find_tq, syntactic_ordered_monoid
 from regcc.reductions import (
@@ -201,6 +201,19 @@ def test_group_reduction_inverts_by_the_period():
     c = m.mul(a, b)
     assert m.cycles[c][1] == 3
     assert group_reduction(om, c, a).alice[1][0] == m.mul(c, c)
+
+
+def test_group_reduction_below_a_non_unit():
+    # a and b permute states 0-2 as S3; c sends every state to the
+    # accepting sink 3, so c < 1 in the order, yet no unit lies below 1
+    d = Dfa(("a", "b", "c"), 4, 0, frozenset({0, 3}),
+            ((1, 2, 0, 3), (1, 0, 2, 3), (3, 3, 3, 3)))
+    om, _, _ = syntactic_ordered_monoid(d)
+    m = om.monoid
+    a, b, c = (m.generator_map[x] for x in "abc")
+    assert om.leq(c, m.identity) and c != m.identity
+    report = verify_reduction(group_reduction(om, a, b), 6)
+    assert (report.status, report.checked_pairs) == ("PASS", 5460)
 
 
 def test_tq_side_conditions():
