@@ -9,6 +9,7 @@ error, 2 usage error.  Progress notes go to standard error only with
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -154,7 +155,10 @@ def cmd_builtin(args):
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and building it costs more than most commands."""
     parser = argparse.ArgumentParser(
         prog="regcc",
         description="communication-complexity classification of regular "

@@ -6,8 +6,9 @@ wildcards inside rectangles: a z-monochromatic rectangle must avoid defined
 (1-z) cells only.
 
 Exact solvers: minimum rectangle cover (branch and bound over maximal
-rectangles), minimum disjoint cover (rank-bounded search on total
-functions, an integer program on promise ones), deterministic protocol
+rectangles), minimum disjoint cover (on total functions the leaves of a
+rank-tight protocol tree, else a rank-bounded search; an integer program
+on promise ones), deterministic protocol
 depth (one memoized search over row and column bipartitions, whose first
 optimal split at each node gives the protocol tree, stopped early at the
 rank bound on rectangles with no undefined cell), maximum fooling set
@@ -470,42 +471,53 @@ def min_cover(f: CommFunction, z: int):
             candidates.append((ext, inte, cover_mask))
 
     candidates.sort(key=lambda c: -c[2].bit_count())
+    budget = _Budget("set-cover")
     # on a total matrix every maximal rectangle covers all of its cells, so
     # no candidate's coverage contains another's
     if any(UNDEF in row for row in f.rows):
-        candidates = _undominated(candidates)
+        candidates = _undominated(candidates, budget)
 
-    count, picked = _set_cover_exact(universe, candidates)
+    count, picked = _set_cover_exact(universe, candidates, budget)
     rects = tuple(_rectangle(row_groups, col_groups, ext, inte)
                   for ext, inte, _ in picked)
     return count, Cover(z, rects)
 
 
-def _undominated(candidates):
+def _undominated(candidates, budget):
     """The candidates whose coverage no earlier (larger-or-equal) kept
-    candidate's contains; candidates come sorted by falling coverage."""
+    candidate's contains; candidates come sorted by falling coverage.
+
+    A coverage containing c's contains c's lowest cell, so c is compared
+    only with the kept coverages holding that cell, indexed by cell.  The
+    ``budget`` is charged one unit per comparison, before the scan."""
     kept = []
+    holding = {}  # cell bit -> kept coverages holding that cell
     for cand in candidates:
-        if not any(cand[2] & ~other[2] == 0 for other in kept):
-            kept.append(cand)
+        mask = cand[2]
+        others = holding.get(mask & -mask, ())
+        budget.charge(len(others))
+        if any(mask & ~other == 0 for other in others):
+            continue
+        kept.append(cand)
+        for idx in _mask_to_indices(mask):
+            holding.setdefault(1 << idx, []).append(mask)
     return kept
 
 
-def _set_cover_exact(universe, candidates):
+def _set_cover_exact(universe, candidates, budget):
     """Exact minimum set cover by branch and bound; candidates are
     (ext, inte, cover_mask) triples, deterministic order.
 
     A child with uncovered cells U is entered only while its picks plus
     need(U) = ceil(|U| / max_c |c & U|) can beat the incumbent.  The
     parent's maximum bounds the child's from above, so the free check
-    with it runs first and the exact one second.  Raises CapError past
-    WORK_CAP units: one per child checked, one per candidate per coverage
-    evaluation."""
+    with it runs first and the exact one second.  Charges ``budget``, which
+    raises CapError past its cap: one unit per child checked, one per
+    candidate per coverage evaluation."""
     # the candidates' masks as rows of little-endian uint64 words
     n_bytes = 8 * ((universe.bit_length() + 63) // 64)
     data = b"".join(c[2].to_bytes(n_bytes, "little") for c in candidates)
     table = np.frombuffer(data, dtype="<u8").reshape(len(candidates), n_bytes // 8)
-    budget = _Budget("set-cover")
 
     def coverage(uncovered):
         # max_c |c & uncovered| over the candidates
@@ -712,13 +724,16 @@ def min_disjoint_cover(f: CommFunction):
     """Exact minimum partition of the defined cells into monochromatic
     rectangles (pairwise disjoint as cell sets).  Returns (count, Cover).
 
-    Total functions split per color (opposite-color rectangles cannot
-    meet without undefined cells) and each color is bounded below by the
-    exact rank of its 0/1 matrix over Q: a partition sums outer products
-    to that matrix.  Each color deepens from that bound under the
-    partition search's work cap.  A promise matrix takes the greedy
-    partition when it meets the fooling-set bound, else the integer
-    program."""
+    On a total function each color is bounded below by the exact rank of
+    its 0/1 matrix over Q: a partition sums outer products to that matrix.
+    The leaves of a protocol tree partition the matrix, so when the depth
+    search's tree has rank(0-cells) + rank(1-cells) leaves, they are a
+    minimum partition and are returned.  Otherwise (or when the depth
+    search exceeds its work cap) the colors split (opposite-color
+    rectangles cannot meet without undefined cells) and each deepens from
+    its rank bound under the partition search's work cap.  A promise
+    matrix takes the greedy partition when it meets the fooling-set
+    bound, else the integer program."""
     if f.n_rows > DISJOINT_CAP or f.n_cols > DISJOINT_CAP:
         raise CapError("disjoint-cover search capped at %dx%d" % (DISJOINT_CAP, DISJOINT_CAP))
     row_groups, col_groups, masks = _merged(f)
@@ -726,6 +741,10 @@ def min_disjoint_cover(f: CommFunction):
     z_cells = [sum(m << (r * nc) for r, m in enumerate(masks[z])) for z in (0, 1)]
     defined = z_cells[0] | z_cells[1]
     undefined = ((1 << (nr * nc)) - 1) & ~defined
+    if not undefined:
+        picked = _rank_tight_leaves(f, row_groups, col_groups, masks)
+        if picked is not None:
+            return _disjoint_result(row_groups, col_groups, picked)
     cands = []
     for rows_mask, cols_mask, color in _closed_rectangles(masks, nc):
         foot = _cells(rows_mask, cols_mask, nc)
@@ -748,9 +767,38 @@ def min_disjoint_cover(f: CommFunction):
                 cands, _mask_to_indices(defined), _mask_to_indices(undefined),
                 lower, len(greedy))
 
+    return _disjoint_result(row_groups, col_groups, picked)
+
+
+def _disjoint_result(row_groups, col_groups, picked):
+    """(count, Cover) of merged parts whose first two fields are the
+    (row mask, col mask) pair, listed in mask order."""
     rects = tuple(_rectangle(row_groups, col_groups, rm, cm)
-                  for rm, cm, _c, _d, _f in sorted(picked))
+                  for rm, cm, *_ in sorted(picked))
     return len(rects), Cover(None, rects)
+
+
+def _rank_tight_leaves(f, row_groups, col_groups, masks):
+    """The leaves of the depth search's protocol tree on the total matrix
+    ``f`` as merged (row mask, col mask) pairs, when they number
+    rank(0-cells) + rank(1-cells), the least count of any partition;
+    None when they number more or the depth search exceeds its cap."""
+    try:
+        leaves = exact_deterministic_cc(f)[1].leaves()
+    except CapError:
+        return None
+    nc = len(col_groups)
+    ranks = sum(_rank_q([[m >> c & 1 for c in range(nc)] for m in masks[z]])
+                for z in (0, 1))
+    if len(leaves) != ranks:
+        return None
+    # splits keep equal rows (columns) together, so a leaf holds whole
+    # groups; each group's bit is taken once
+    row_of = {i: r for r, group in enumerate(row_groups) for i in group}
+    col_of = {j: c for c, group in enumerate(col_groups) for j in group}
+    return [(sum(1 << r for r in {row_of[i] for i in leaf.rows}),
+             sum(1 << c for c in {col_of[j] for j in leaf.cols}))
+            for leaf in leaves]
 
 
 def _closed_rectangles(masks, nc):

@@ -140,9 +140,10 @@ def test_criterion_06_sandwich_inequalities():
             "0563eb2321cfce8cfefa7480ac81e544235abc2510d584a02c02465a370a50d4"
         # and their minimum disjoint covers: on promise inputs the printed
         # cover is the optimal vertex HiGHS returns, so a solver upgrade
-        # that changes one fails here
+        # that changes one fails here; on total inputs it is the sorted
+        # leaves of the protocol tree when that tree is rank-tight
         assert disjoint_covers.hexdigest() == \
-            "37c3196fc0a556ccc7156ad1f9d44e8e0001c86b15806a5deb247aa84e1dec13"
+            "52847b44d630b2886eb1f9bfe2541d961b0b015ddf8c90cb5648e10f9eee42ed"
         # the minimum covers of each color and the maximum fooling cells
         assert min_covers.hexdigest() == \
             "1456b820dafc94a70ba90beb4a55e287c68884c52615ec5bb0cebf6fa93abaf0"
@@ -286,3 +287,29 @@ def test_criterion_14_exact_depth_at_n4():
                 # IP q=2 color 1 needs 173 448 clique nodes, past the work cap
                 continue
             assert len(leaves) >= fooling, (name, len(leaves), fooling)
+
+
+def test_criterion_15_sandwich_at_n4():
+    with criterion(15, "the sandwich at N = 4; C^D from rank-tight trees"):
+        # name, q: C^D, and for DISJ and LT (C^0, C^1, fooling_0, fooling_1)
+        pinned = {("EQ", None): (32, None), ("NEQ", None): (32, None),
+                  ("IP", 2): (31, None), ("DISJ", None): (31, (4, 16, 4, 16)),
+                  ("LT", None): (31, (15, 16, 15, 16))}
+        for (name, q), (want_cd, colors) in pinned.items():
+            args = ("--q", str(q)) if q else ()
+            out = cli("cc", "disjoint", name, "--n", "4", *args)
+            assert "count: %d\n" % want_cd in out, name
+            f = builtin_function(name, 4, q=q)
+            d, tree = exact_deterministic_cc(f)
+            cd, cover = min_disjoint_cover(f)
+            validate_disjoint_cover(f, cover)
+            assert (d, cd) == (5, want_cd), name
+            assert log2ceil(cd) <= d and cd <= len(tree.leaves()) <= 2 ** d, name
+            if colors is None:
+                continue
+            covers = [min_cover(f, z)[0] for z in (0, 1)]
+            fooling = [len(max_fooling_set(f, z)) for z in (0, 1)]
+            assert tuple(covers + fooling) == colors, name
+            for z in (0, 1):
+                assert fooling[z] <= covers[z] <= cd, (name, z)
+            assert d <= (log2ceil(covers[0]) + 2) * (log2ceil(covers[1]) + 2)

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import regcc
+from regcc import cli
 from regcc.automata import builtin_language, builtin_language_names, serialize_dfa
 from regcc.cli import main
 
@@ -209,6 +210,32 @@ def test_closed_stdout_is_a_domain_error():
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+def test_main_builds_the_parser_once(capsys):
+    cli.build_parser.cache_clear()
+    run(capsys, "builtin", "list")
+    run(capsys, "cc", "exact", "EQ", "--n", "1")
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    # each call in this process prints what it prints in a fresh one
+    src = os.path.dirname(os.path.dirname(os.path.abspath(regcc.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, want_code in ((("cc", "exact", "EQ"), 2),  # missing --n
+                            (("--verbose", "cc", "exact", "EQ", "--n", "2"), 0),
+                            (("cc", "exact", "EQ", "--n", "2"), 0)):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "regcc.cli", *argv], env=env,
+                               capture_output=True, text=True)
+        assert code == fresh.returncode == want_code, argv
+        assert (out.out, out.err) == (fresh.stdout, fresh.stderr), argv
 
 
 def test_cover_and_fooling_default_to_color_one(capsys):

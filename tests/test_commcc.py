@@ -57,11 +57,12 @@ def brute_min_cover(f, z):
     raise AssertionError
 
 
-def reference_set_cover(universe, candidates):
+def reference_set_cover(universe, candidates, budget=None):
     """Oracle: the minimum-cover branch and bound with one global bound,
-    ceil(|uncovered| / largest candidate), for every node.  Its branching
-    cell, candidate order and strict-improvement incumbent rule are those
-    of ``commcc._set_cover_exact``, so the two return the same cover."""
+    ceil(|uncovered| / largest candidate), for every node, unmetered.  Its
+    branching cell, candidate order and strict-improvement incumbent rule
+    are those of ``commcc._set_cover_exact``, so the two return the same
+    cover."""
     cell_cands = {}
     for idx in _mask_to_indices(universe):
         cell_cands[idx] = [c for c in candidates if c[2] >> idx & 1]
@@ -161,7 +162,7 @@ def cover_candidates(f, z):
     """The candidate list ``min_cover`` hands its search."""
     seen = []
 
-    def capture(universe, candidates):
+    def capture(universe, candidates, budget):
         seen.append(candidates)
         return reference_set_cover(universe, candidates)
 
@@ -547,7 +548,7 @@ def test_dominance_filter_keeps_every_candidate_on_total_matrices(rows, z):
     f = as_function(rows)
     assume(f.count(z) > 0)
     candidates = cover_candidates(f, z)
-    assert _undominated(candidates) == candidates
+    assert _undominated(candidates, commcc._Budget("set-cover")) == candidates
 
 
 def test_min_cover_neq_frozen():
@@ -632,6 +633,9 @@ def test_partition_search_work_cap(monkeypatch):
     f = CommFunction("M12", tuple("r%d" % i for i in range(12)),
                      tuple("c%d" % j for j in range(12)), rows)
     monkeypatch.setattr(commcc, "WORK_CAP", 200_000)
+    # both colors have rank 12, and the depth search's tree has 24 leaves
+    assert min_disjoint_cover(f)[0] == 24
+    monkeypatch.setattr(commcc, "_rank_tight_leaves", lambda *args: None)
     with pytest.raises(CapError, match="partition search"):
         min_disjoint_cover(f)
 
@@ -657,10 +661,10 @@ def test_disjoint_cover_cap():
 
 
 def test_disjoint_cover_work_cap():
-    # 16x16 distinct rows and columns: within the size cap, but NEQ's
-    # 1-rectangles number about 3^16, past the candidate cap
-    with pytest.raises(CapError):
-        min_disjoint_cover(builtin_function("NEQ", 4))
+    # 16x16 distinct rows and columns: within the size cap, but IP q=3's
+    # depth search passes its work cap and its rectangles the candidate cap
+    with pytest.raises(CapError, match="partition-candidate"):
+        min_disjoint_cover(builtin_function("IP", 4, q=3))
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
@@ -689,6 +693,68 @@ def test_min_disjoint_cover_matches_brute_oracle(rows):
     count, cover = min_disjoint_cover(f)
     validate_disjoint_cover(f, cover)
     assert count == len(cover.rectangles) == brute_min_disjoint(f)
+
+
+@st.composite
+def repeated_total_matrices(draw):
+    """Total matrices up to 7x7 whose rows and columns are drawn, with
+    repetition, from those of a smaller matrix."""
+    base = draw(matrices("01", 5, 5))
+    row_pick = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=7))
+    col_pick = draw(st.lists(st.integers(0, len(base[0]) - 1), min_size=1, max_size=7))
+    return tuple("".join(base[i][j] for j in col_pick) for i in row_pick)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.one_of(matrices("01", 7, 7), repeated_total_matrices()))
+# equal rows share one leaf: each group counts once in the leaf's mask
+@example(("10", "10", "01"))
+def test_rank_tight_leaves_match_the_partition_search(rows):
+    f = as_function(rows)
+    count, cover = min_disjoint_cover(f)
+    validate_disjoint_cover(f, cover)
+    with mock.patch.object(commcc, "_rank_tight_leaves", lambda *args: None):
+        assert count == len(cover.rectangles) == min_disjoint_cover(f)[0]
+
+
+def pairwise_undominated(candidates):
+    """Oracle: the dominance filter comparing each candidate with every
+    kept one."""
+    kept = []
+    for cand in candidates:
+        if not any(cand[2] & ~other[2] == 0 for other in kept):
+            kept.append(cand)
+    return kept
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(matrices("01*", 6, 6), st.sampled_from((0, 1)))
+def test_undominated_matches_the_pairwise_filter(rows, z):
+    f = as_function(rows)
+    assume(f.count(z) > 0)
+    seen = []
+
+    def capture(candidates, budget):
+        seen.append(candidates)
+        return _undominated(candidates, budget)
+
+    with mock.patch.object(commcc, "_undominated", capture):
+        min_cover(f, z)
+    assume(seen)
+    candidates = seen[0]
+    assert _undominated(candidates, commcc._Budget("set-cover")) == \
+        pairwise_undominated(candidates)
+
+
+def test_undominated_is_charged_to_the_set_cover_meter(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("set-cover search reached")
+
+    # the filter alone passes the cap, before the search starts
+    monkeypatch.setattr(commcc, "_set_cover_exact", no_search)
+    monkeypatch.setattr(commcc, "WORK_CAP", 10)
+    with pytest.raises(CapError, match="set-cover"):
+        min_cover(builtin_function("PDISJ", 3), 0)
 
 
 # --- exact deterministic complexity -------------------------------------------
