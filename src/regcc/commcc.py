@@ -8,11 +8,17 @@ wildcards inside rectangles: a z-monochromatic rectangle must avoid defined
 Exact solvers: minimum rectangle cover (branch and bound over maximal
 rectangles), minimum disjoint cover (on total functions the leaves of a
 rank-tight protocol tree, else a rank-bounded search; an integer program
-on promise ones), deterministic protocol
-depth (one memoized search over row and column bipartitions, whose first
-optimal split at each node gives the protocol tree, stopped early at the
-rank bound on rectangles with no undefined cell), maximum fooling set
+on promise ones), deterministic protocol depth, maximum fooling set
 (maximum clique), maximum rectangle measure.
+
+The protocol depth is one memoized search over row and column
+bipartitions, whose first optimal split at each node gives the protocol
+tree.  Each rectangle stops at the first split reaching a lower bound:
+the rank bound when it has no undefined cell, else a greedy fooling set of
+both colors, whose cells need a leaf each.  A split stops as soon as a
+child shows it cannot beat the best split so far, because each child is
+solved only below that depth (a cutoff, as in alpha-beta search).  All of
+it, ranks and fooling sets included, is charged to one work meter.
 
 The cover and the measure search the maximal z-monochromatic rectangles.
 The column side of each is the intersection of its rows' allowed-column
@@ -55,8 +61,8 @@ MEASURE_CAP = 32
 # maximal rectangles: intersections kept; partition candidates: (R, C)
 # pairs visited
 CONCEPT_CAP = 300_000
-# work of one cover, clique, depth or partition search call, in the units its
-# docstring names; at n <= 3 the built-ins spend at most 5 220 500 (PIP2
+# work of one cover, clique, depth, partition or reduction-verify call, in the
+# units its docstring names; at n <= 3 the built-ins spend at most 2 200 946 (PIP2
 # ZERO_SIDED depth)
 WORK_CAP = 6_000_000
 
@@ -868,6 +874,28 @@ class ProtocolNode:
         return [leaf for child in self.children for leaf in child.leaves()]
 
 
+def _greedy_fooling(where, row_idx, cols):
+    """For each color z, the z-cells of the rectangle ``row_idx`` x
+    ``cols`` (a column mask) taken in row order whenever a defined 1-z
+    cross cell separates the cell from every cell taken before: a list of
+    (row, column bit) pairs per color.  ``where[z][i]`` holds the columns
+    with a defined z in row i.  Two z-cells of one row are never separated,
+    so each row gives at most one cell, its first free column."""
+    out = []
+    for z in (0, 1):
+        other = where[1 - z]
+        taken = []
+        for i in row_idx:
+            free = where[z][i] & cols
+            for k, bit in taken:
+                if not other[i] & bit:
+                    free &= other[k]
+            if free:
+                taken.append((i, free & -free))
+        out.append(taken)
+    return out
+
+
 def exact_deterministic_cc(f: CommFunction):
     """Minimum worst-case bits of a deterministic protocol, with an optimal
     protocol tree.  Recursion: a rectangle costs 0 if monochromatic
@@ -881,23 +909,36 @@ def exact_deterministic_cc(f: CommFunction):
     binary, on one side.  A node takes the first split whose worst child is
     least; a leaf takes the least defined color.
 
-    On a rectangle with no undefined cell a protocol tree has at least
-    rank(1-cells) + rank(0-cells) leaves (ranks over Q), so the depth is at
-    least lb = max(1, ceil(log2 of that sum)), and the search stops at the
-    first split reaching lb: no later split can beat a proven minimum, so
-    the rule above still picks it.  A rectangle with an undefined cell keeps
-    lb = 1, since the rank of a wildcard matrix bounds nothing.  Raises
-    CapError past WORK_CAP units: per r x c rectangle, r*c per canonical form
-    on a cache miss and per split search, 2*r*c*min(r, c) per rank and the
-    group count per split tried."""
+    Each rectangle has a lower bound lb on its depth, from a set of cells
+    no two of which share a leaf: depth >= max(1, ceil(log2 leaves)).  With
+    no undefined cell, a protocol tree has at least rank(1-cells) +
+    rank(0-cells) leaves (ranks over Q).  With one, the bound is a fooling
+    set: for each color z, the z-cells taken greedily in row order when a
+    defined 1-z cross cell separates them from every cell already taken.
+    The search stops at the first split reaching lb: no later split can
+    beat a proven minimum, so the rule above still picks it.
+
+    The search is cut off like alpha-beta search.  ``solve`` is given a
+    limit and returns the exact depth when it is below the limit, else a
+    lower bound of at least the limit; a split's children get the best
+    depth found so far minus one, so a split that cannot beat it stops at
+    its first child that reaches it.  The memo keeps (bound, exact) pairs
+    and reuses an inexact bound for any limit it reaches.  The tree walk
+    has no limit, so each node's split is the rule's.
+
+    Raises CapError past WORK_CAP units: per r x c rectangle, r*c per
+    canonical form on a cache miss and per split search, then
+    2*r*c*min(r, c) per rank or 2*r*c per fooling set, and the group count
+    per split tried."""
     n_cols = f.n_cols
     base = tuple(tuple(-1 if ch == UNDEF else int(ch) for ch in row) for row in f.rows)
     # where[z][i]: the columns holding a z in row i
     where = [[sum(1 << j for j, v in enumerate(row) if v == z) for row in base]
              for z in (0, 1)]
-    memo = {}  # canonical content -> depth
-    by_rect = {}  # rows mask << n_cols | cols mask -> depth
+    memo = {}  # canonical content -> [depth or lower bound, exact]
+    by_rect = {}  # rows mask << n_cols | cols mask -> its memo entry
     budget = _Budget("protocol-depth")
+    no_limit = 10 ** 9
 
     def colors(row_idx, cols):
         return [z for z in (0, 1) if any(where[z][i] & cols for i in row_idx)]
@@ -912,23 +953,28 @@ def exact_deterministic_cc(f: CommFunction):
             rows = rows2
         return rows
 
-    def best_split(rows, cols):
-        """(depth, split) of rows x cols over row and column masks; split is
-        None at a leaf, else (side, (part_a, part_b)), the first split in
-        the rule's order that reaches the depth."""
+    def best_split(rows, cols, limit=no_limit):
+        """(depth, split) of rows x cols over row and column masks: the
+        depth when it is below ``limit``, else a lower bound of at least
+        ``limit``.  split is None at a leaf or past the limit, else (side,
+        (part_a, part_b)), the first split in the rule's order that reaches
+        the depth."""
         row_idx, col_idx = _mask_to_indices(rows), _mask_to_indices(cols)
         r, c = len(row_idx), len(col_idx)
         budget.charge(r * c)
         if len(colors(row_idx, cols)) < 2:
             return 0, None
-        lb = 1
-        if not any(cols & ~(where[0][i] | where[1][i]) for i in row_idx):
-            # no undefined cell: leaves >= rank(1-cells) + rank(0-cells)
+        if any(cols & ~(where[0][i] | where[1][i]) for i in row_idx):
+            budget.charge(2 * r * c)
+            leaves = sum(map(len, _greedy_fooling(where, row_idx, cols)))
+        else:
             budget.charge(4 * r * c * min(r, c))
             leaves = sum(_rank_q([[base[i][j] == z for j in col_idx] for i in row_idx])
                          for z in (0, 1))
-            lb = max(1, _log2ceil(leaves))
-        best, split = 10 ** 9, None
+        lb = max(1, _log2ceil(leaves))
+        if lb >= limit:
+            return lb, None
+        best, split = limit, None
         for side in ("rows", "cols"):
             groups = {}
             for x in (row_idx if side == "rows" else col_idx):
@@ -950,27 +996,28 @@ def exact_deterministic_cc(f: CommFunction):
                     parts = ((part_a, cols), (part_b, cols))
                 else:
                     parts = ((rows, part_a), (rows, part_b))
-                d1 = solve(*parts[0])
+                d1 = solve(*parts[0], best - 1)
                 if d1 + 1 >= best:
                     continue
-                d = 1 + max(d1, solve(*parts[1]))
+                d = 1 + max(d1, solve(*parts[1], best - 1))
                 if d < best:
                     best, split = d, (side, parts)
                     if best <= lb:
                         return best, split
         return best, split
 
-    def solve(rows, cols):
+    def solve(rows, cols, limit=no_limit):
+        """best_split's depth or bound, memoized by canonical content."""
         rect = rows << n_cols | cols
-        d = by_rect.get(rect)
-        if d is None:
+        entry = by_rect.get(rect)
+        if entry is None:
             budget.charge(rows.bit_count() * cols.bit_count())
             key = canon(_mask_to_indices(rows), _mask_to_indices(cols))
-            d = memo.get(key)
-            if d is None:
-                d = memo[key] = best_split(rows, cols)[0]
-            by_rect[rect] = d
-        return d
+            entry = by_rect[rect] = memo.setdefault(key, [0, False])
+        if not entry[1] and entry[0] < limit:
+            d = best_split(rows, cols, limit)[0]
+            entry[:] = d, d < limit
+        return entry[0]
 
     def walk(rows, cols):
         row_idx, col_idx = _mask_to_indices(rows), _mask_to_indices(cols)
@@ -996,7 +1043,9 @@ def max_fooling_set(f: CommFunction, z: int):
     Two z-cells may coexist only if some cross cell carries the defined
     opposite value; an undefined cross cell is a wildcard, so it does not
     separate (the pair could still share a z-monochromatic rectangle, and
-    the bound fooling <= C^z would break).
+    the bound fooling <= C^z would break).  One meter covers the graph and
+    the clique search: each cell is charged the pairs it is about to
+    compare with later cells.
     """
     if f.n_rows > FOOLING_CAP or f.n_cols > FOOLING_CAP:
         raise CapError("fooling-set search capped at %dx%d" % (FOOLING_CAP, FOOLING_CAP))
@@ -1007,24 +1056,26 @@ def max_fooling_set(f: CommFunction, z: int):
         return []
     other = masks[1 - z]
     adj = [0] * n
+    budget = _Budget("fooling-set clique")
     for a in range(n):
         ra, ca = cells[a]
+        budget.charge(n - a - 1)
         for b in range(a + 1, n):
             rb, cb = cells[b]
             if other[ra] >> cb & 1 or other[rb] >> ca & 1:
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
-    best_mask = _max_clique(adj, n)
+    best_mask = _max_clique(adj, n, budget)
     return sorted((row_groups[cells[k][0]][0], col_groups[cells[k][1]][0])
                   for k in _mask_to_indices(best_mask))
 
 
-def _max_clique(adj, n):
-    """Exact maximum clique with greedy-coloring bound.  Raises CapError
-    past WORK_CAP units: n per node, the vertices its coloring scans."""
+def _max_clique(adj, n, budget):
+    """Exact maximum clique with greedy-coloring bound.  Charges
+    ``budget``, which raises CapError past its cap: n per node, the
+    vertices its coloring scans."""
     order = sorted(range(n), key=lambda v: -adj[v].bit_count())
     best = [0, 0]  # size, mask
-    budget = _Budget("fooling-set clique")
 
     def color_bound(p_mask):
         colors = []

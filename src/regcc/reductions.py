@@ -14,12 +14,12 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .automata import EPSILON, CcError, Dfa, accepts, builtin_language
+from .automata import EPSILON, CapError, CcError, Dfa, accepts, builtin_language
 from .classify import (
     builtin_monoid, find_shuffle_witness, is_noncommuting_pair,
     is_shuffle_witness,
 )
-from .commcc import CommFunction, builtin_function
+from .commcc import MATERIALIZE_CAP, CommFunction, _Budget, builtin_function
 from .monoid import (
     OrderIdeal, OrderedMonoid, eval_word, find_tq, ideal_generated,
     syntactic_ordered_monoid, tq_period,
@@ -208,13 +208,20 @@ def verify_reduction(reduction, n_max: int) -> VerificationReport:
     1..n_max.
 
     Reports the first counterexample in canonical order, or PASS with the
-    number of checked pairs.
+    number of checked pairs.  Raises CapError before the first pair when
+    n_max exceeds MATERIALIZE_CAP, and past WORK_CAP pairs: each length's
+    defined cells are charged before it is replayed.
     """
     if n_max < 1:
         raise CcError("verification needs n_max >= 1")
+    if n_max > MATERIALIZE_CAP:
+        raise CapError("verify: n_max=%d outside materialization range 1..%d"
+                       % (n_max, MATERIALIZE_CAP))
+    budget = _Budget("verify")
     checked = 0
     for n in range(1, n_max + 1):
         f = reduction.source(n)
+        budget.charge(f.count(0) + f.count(1))
         for i, j, expected in f.defined_cells():
             x, y = f.row_labels[i], f.col_labels[j]
             got = int(reduction.decides_one(x, y))

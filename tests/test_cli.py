@@ -142,6 +142,11 @@ def test_reduce_verify(capsys):
     assert "status: PASS" in out
 
 
+def test_reduce_verify_past_the_materialization_cap(capsys):
+    code, out, err = run(capsys, "reduce", "verify", "ipq_to_group", "--n-max", "40")
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
 def test_reduce_verify_zero_sided_fails_with_counterexample(capsys):
     code, out, _ = run(capsys, "reduce", "verify", "pip2_to_L5",
                        "--variant", "ZERO_SIDED", "--n-max", "3")

@@ -17,7 +17,8 @@ from regcc.commcc import (
     simulate_cover_protocol, validate_disjoint_cover,
 )
 from regcc.commcc import (
-    _closed_rectangles, _concepts, _mask_to_indices, _merged, _rank_q, _undominated,
+    _closed_rectangles, _concepts, _greedy_fooling, _mask_to_indices, _merged,
+    _rank_q, _undominated,
 )
 from regcc.monoid import (
     FiniteMonoid, OrderedMonoid, ideal_generated, syntactic_ordered_monoid,
@@ -644,8 +645,8 @@ def test_cover_and_clique_searches_raise_past_their_node_caps(monkeypatch):
     f = builtin_function("EQ", 3)
     assert min_cover(f, 0)[0] == 5
     assert len(max_fooling_set(f, 0)) == 3
-    # on color 0, EQ_3 takes 1 081 532 cover and 2 128 clique work units;
-    # PDISJ_3's depth search takes 2 709 383
+    # on color 0, EQ_3 takes 1 081 532 cover and 3 668 clique work units;
+    # PDISJ_3's depth search takes 844 443
     monkeypatch.setattr(commcc, "WORK_CAP", 1000)
     with pytest.raises(CapError, match="set-cover"):
         min_cover(f, 0)
@@ -782,8 +783,8 @@ def test_exact_cc_cap():
         exact_deterministic_cc(builtin_function("IP", 4, q=3))
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
-@given(matrices("01*", 4, 4))
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(matrices("01*", 5, 5))
 def test_exact_cc_matches_rule_oracle(rows):
     f = as_function(rows)
     everything = (tuple(range(f.n_rows)), tuple(range(f.n_cols)))
@@ -797,6 +798,44 @@ def test_exact_cc_matches_rule_oracle_on_total_matrices(rows):
     f = as_function(rows)
     everything = (tuple(range(f.n_rows)), tuple(range(f.n_cols)))
     assert exact_deterministic_cc(f) == rule_protocol_tree(f, *everything)
+
+
+def subtrees(node):
+    yield node
+    for child in node.children:
+        yield from subtrees(child)
+
+
+def height(node):
+    return 1 + max(map(height, node.children)) if node.children else 0
+
+
+@pytest.mark.parametrize("rows", [
+    ("000", "0*0", "001", "100"),
+    builtin_function("PDISJ", 2).rows,
+    builtin_function("PIP2", 2, variant="TWO_SIDED").rows,
+    builtin_function("PIP2", 2, variant="ZERO_SIDED").rows,
+])
+def test_cutoff_bounds_stay_out_of_the_tree(rows):
+    # a split's children are solved only below the best depth so far, and
+    # the memo keeps the lower bounds such calls return; none may pass for
+    # a depth: every subtree is the rule's tree of its rectangle, and a
+    # second call in the same process gives the same tree
+    f = as_function(rows)
+    bits, tree = exact_deterministic_cc(f)
+    assert exact_deterministic_cc(f) == (bits, tree)
+    for node in subtrees(tree):
+        assert rule_protocol_tree(f, node.rows, node.cols) == (height(node), node)
+
+
+@pytest.mark.parametrize("name, variant, bits", [
+    ("PDISJ", "TWO_SIDED", 4), ("PIP2", "TWO_SIDED", 3),
+])
+def test_cutoff_tree_is_as_tall_as_its_depth(name, variant, bits):
+    # past the rule oracle's reach: a bound taken for a depth would print a
+    # depth below the height of the tree built from the same memo
+    got, tree = exact_deterministic_cc(builtin_function(name, 3, variant=variant))
+    assert got == height(tree) == bits
 
 
 def rank_depth_bound(rows):
@@ -829,6 +868,24 @@ def test_rank_bound_skips_rectangles_with_wildcards():
     assert (bits, tree) == rule_protocol_tree(f, *everything)
 
 
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(matrices("01*", 6, 6))
+def test_fooling_bound_is_at_most_the_depth(rows):
+    # the depth search's bound on a rectangle with wildcards: per color,
+    # cells pairwise separated by a defined cross cell of the other color,
+    # so no two share a leaf and they number at most 2^D
+    f = as_function(rows)
+    where = [[sum(1 << j for j, ch in enumerate(row) if ch == z) for row in rows]
+             for z in "01"]
+    taken = _greedy_fooling(where, tuple(range(f.n_rows)), (1 << f.n_cols) - 1)
+    for z, cells in enumerate(taken):
+        cells = [(i, bit.bit_length() - 1) for i, bit in cells]
+        assert all(f.value(i, j) == z for i, j in cells)
+        for (i1, j1), (i2, j2) in itertools.combinations(cells, 2):
+            assert 1 - z in (f.value(i1, j2), f.value(i2, j1))
+    assert sum(map(len, taken)) <= 2 ** exact_deterministic_cc(f)[0]
+
+
 def test_promise_monotonicity():
     # PDISJ is DISJ with cells knocked out; neither covers nor protocol
     # depth may grow
@@ -859,6 +916,17 @@ def test_fooling_matches_brute_oracle():
                        ("NEQ", 2, 1), ("LT", 2, 0)):
         f = builtin_function(name, n)
         assert len(max_fooling_set(f, z)) == brute_max_fooling(f, z), (name, n, z)
+
+
+def test_fooling_graph_is_charged_to_the_clique_meter(monkeypatch):
+    # EQ_3 has 56 zero-cells; the first is charged the 55 pairs it compares
+    def no_search(*args):
+        raise AssertionError("the clique search was reached")
+
+    monkeypatch.setattr(commcc, "_max_clique", no_search)
+    monkeypatch.setattr(commcc, "WORK_CAP", 54)
+    with pytest.raises(CapError, match="fooling-set"):
+        max_fooling_set(builtin_function("EQ", 3), 0)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)

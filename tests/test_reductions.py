@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from regcc.automata import EPSILON, CcError, Dfa, accepts, builtin_language
+from regcc import commcc
+from regcc.automata import EPSILON, CapError, CcError, Dfa, accepts, builtin_language
 from regcc.classify import builtin_monoid
 from regcc.monoid import eval_word, find_tq, syntactic_ordered_monoid
 from regcc.reductions import (
@@ -100,6 +101,27 @@ def test_verify_pdisj_to_ipq():
 def test_verify_rejects_an_empty_range():
     with pytest.raises(CcError, match="n_max"):
         verify_reduction(builtin_reduction("lt_to_noncommutative"), 0)
+
+
+def test_verify_is_metered(monkeypatch):
+    # IP_3 has 4, 16 and 64 defined cells at n = 1, 2 and 3
+    r = builtin_reduction("ipq_to_group")
+    monkeypatch.setattr(commcc, "WORK_CAP", 84)
+    assert verify_reduction(r, 3).checked_pairs == 84
+    monkeypatch.setattr(commcc, "WORK_CAP", 83)
+    with pytest.raises(CapError, match="verify"):
+        verify_reduction(r, 3)
+
+
+def test_verify_rejects_lengths_past_the_materialization_cap(monkeypatch):
+    # checked before any length is built or replayed
+    def no_source(self, n):
+        raise AssertionError("a length was built")
+
+    r = builtin_reduction("ipq_to_group")
+    monkeypatch.setattr(type(r), "source", no_source)
+    with pytest.raises(CapError, match="n_max=13"):
+        verify_reduction(r, commcc.MATERIALIZE_CAP + 1)
 
 
 def test_verify_shuffle():
