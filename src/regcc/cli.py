@@ -111,23 +111,16 @@ def cmd_cc(args):
     _note(args, "solving %s on %s" % (args.measure, f.name))
     if args.measure == "exact":
         bits, tree = exact_deterministic_cc(f)
-        sys.stdout.write("function: %s\nn: %d\nbits: %d\nleaves: %d\n"
-                         % (f.name, args.n, bits, len(tree.leaves())))
-        sys.stdout.write(serialize_tree(tree))
-    elif args.measure == "cover":
-        count, cover = min_cover(f, color)
-        sys.stdout.write("function: %s\nn: %d\n" % (f.name, args.n))
-        sys.stdout.write(serialize_cover(f, count, cover))
-    elif args.measure == "disjoint":
-        count, cover = min_disjoint_cover(f)
-        sys.stdout.write("function: %s\nn: %d\n" % (f.name, args.n))
-        sys.stdout.write(serialize_cover(f, count, cover))
+        body = "bits: %d\nleaves: %d\n%s" % (bits, len(tree.leaves()), serialize_tree(tree))
     elif args.measure == "fooling":
         cells = max_fooling_set(f, color)
-        sys.stdout.write("function: %s\nn: %d\ncolor: %d\nsize: %d\n"
-                         % (f.name, args.n, color, len(cells)))
-        for i, j in cells:
-            sys.stdout.write("cell: %s,%s\n" % (f.row_labels[i], f.col_labels[j]))
+        body = "color: %d\nsize: %d\n%s" % (color, len(cells), "".join(
+            "cell: %s,%s\n" % (f.row_labels[i], f.col_labels[j]) for i, j in cells))
+    else:
+        count, cover = min_cover(f, color) if args.measure == "cover" \
+            else min_disjoint_cover(f)
+        body = serialize_cover(f, count, cover)
+    sys.stdout.write("function: %s\nn: %d\n%s" % (f.name, args.n, body))
     return 0
 
 

@@ -31,19 +31,23 @@ incumbent.  No cover of U takes fewer rectangles, so the bound prunes only
 subtrees with no strictly better leaf: the printed cover stays the first
 optimal leaf in depth-first order, the one a weaker bound finds.
 
-Every solver but the protocol depth reads the matrix through ``_merged``:
-equal rows and equal columns become one merged row or column, ``masks[z][r]``
-holds the merged columns with a defined z in merged row r, and a merged cell
-(r, c) is the flat bit ``r * nc + c``.  Each optimum is the same on the
-merged matrix, since a cover, partition or fooling set of the original
+Every solver reads the matrix through ``_merged``: equal rows and equal
+columns become one merged row or column, ``masks[z][r]`` holds the merged
+columns with a defined z in merged row r, and a merged cell (r, c) is the
+flat bit ``r * nc + c``.  Each optimum is the same on the merged matrix,
+since a cover, partition, fooling set or protocol of the original
 restricts to the group representatives and one of the merged matrix
-expands over the groups; ``_rectangle`` expands a merged (row mask, column
-mask) pair back to the original indices.
+expands over the groups; ``_expand`` maps a merged row or column mask back
+to the original indices.  The size caps of the cover and the disjoint
+cover count merged rows and columns, since their searches allocate per
+merged row; the measure's counts original ones, since it sums weights
+over original cells.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,7 +60,6 @@ MATERIALIZE_CAP = 12          # 2^n x 2^n builtin matrices
 PROBLEM_CELL_CAP = 4096       # rows of language/monoid problems
 COVER_CAP = 64                # per side, exact cover guarantee
 DISJOINT_CAP = 16             # per side, partition search
-FOOLING_CAP = 64
 MEASURE_CAP = 32
 # maximal rectangles: intersections kept; partition candidates: (R, C)
 # pairs visited
@@ -312,10 +315,6 @@ def language_problem(d: Dfa, n: int) -> CommFunction:
     Bob the even ones, each letter from the alphabet plus the empty letter."""
     if n < 1:
         raise CcError("language problem needs n >= 1")
-    letters = (EPSILON,) + tuple(d.alphabet)
-    if len(letters) ** n > PROBLEM_CELL_CAP:
-        raise CapError("language problem size %d^%d exceeds cap"
-                       % (len(letters), n))
     f = language_problem_partition(d, 2 * n, range(0, 2 * n, 2))
     return replace(f, name="language:%s" % ",".join(d.alphabet), params=(("n", n),))
 
@@ -330,8 +329,9 @@ def language_problem_partition(d: Dfa, total: int, alice_positions) -> CommFunct
         raise CcError("partition positions repeat")
     bob_positions = tuple(p for p in range(total) if p not in alice_positions)
     letters = (EPSILON,) + tuple(d.alphabet)
-    if len(letters) ** max(len(alice_positions), len(bob_positions), 1) > PROBLEM_CELL_CAP:
-        raise CapError("partitioned problem exceeds cap")
+    side = max(len(alice_positions), len(bob_positions))
+    if len(letters) ** side > PROBLEM_CELL_CAP:
+        raise CapError("language problem size %d^%d exceeds cap" % (len(letters), side))
     a_tuples = list(itertools.product(letters, repeat=len(alice_positions))) or [()]
     b_tuples = list(itertools.product(letters, repeat=len(bob_positions))) or [()]
     rows = []
@@ -392,6 +392,10 @@ def monochromatic_color(f: CommFunction, rect: Rectangle,
     return seen.pop()
 
 
+# per color z, the cell characters as the binary digits of "cell == z"
+_DIGITS = (str.maketrans("01*", "100"), str.maketrans("01*", "010"))
+
+
 def _merged(f: CommFunction):
     """The matrix with equal rows and equal columns merged, each group in
     order of first occurrence: (row groups, column groups, masks), where
@@ -400,11 +404,14 @@ def _merged(f: CommFunction):
     rows, cols = {}, {}
     for i, row in enumerate(f.rows):
         rows.setdefault(row, []).append(i)
-    for j, col in enumerate(zip(*f.rows)):
+    # columns are equal exactly when they are equal on the distinct rows
+    for j, col in enumerate(zip(*rows)):
         cols.setdefault(col, []).append(j)
-    reps = [g[0] for g in cols.values()]
-    masks = [[sum(1 << c for c, j in enumerate(reps) if row[j] == z)
-              for row in rows] for z in "01"]
+    # each distinct row on the representative columns, last first, so that
+    # merged column c is bit c of the number the digits spell
+    pick = operator.itemgetter(*[group[0] for group in reversed(cols.values())])
+    lines = ["".join(pick(row)) for row in rows]
+    masks = [[int(line.translate(digits), 2) for line in lines] for digits in _DIGITS]
     return list(rows.values()), list(cols.values()), masks
 
 
@@ -416,11 +423,14 @@ def _cells(rows_mask, cols_mask, nc):
     return out
 
 
+def _expand(groups, mask):
+    """The sorted original indices of the merged rows (columns) in ``mask``."""
+    return tuple(sorted(i for r in _mask_to_indices(mask) for i in groups[r]))
+
+
 def _rectangle(row_groups, col_groups, rows_mask, cols_mask) -> Rectangle:
     """The rectangle of the original matrix that a merged mask pair spans."""
-    return Rectangle(
-        tuple(sorted(i for r in _mask_to_indices(rows_mask) for i in row_groups[r])),
-        tuple(sorted(j for c in _mask_to_indices(cols_mask) for j in col_groups[c])))
+    return Rectangle(_expand(row_groups, rows_mask), _expand(col_groups, cols_mask))
 
 
 def _concepts(forbidden, n_cols):
@@ -740,15 +750,16 @@ def min_disjoint_cover(f: CommFunction):
     its rank bound under the partition search's work cap.  A promise
     matrix takes the greedy partition when it meets the fooling-set
     bound, else the integer program."""
-    if f.n_rows > DISJOINT_CAP or f.n_cols > DISJOINT_CAP:
-        raise CapError("disjoint-cover search capped at %dx%d" % (DISJOINT_CAP, DISJOINT_CAP))
     row_groups, col_groups, masks = _merged(f)
     nr, nc = len(row_groups), len(col_groups)
+    if nr > DISJOINT_CAP or nc > DISJOINT_CAP:
+        raise CapError("disjoint-cover search capped at %dx%d distinct rows/columns"
+                       % (DISJOINT_CAP, DISJOINT_CAP))
     z_cells = [sum(m << (r * nc) for r, m in enumerate(masks[z])) for z in (0, 1)]
     defined = z_cells[0] | z_cells[1]
     undefined = ((1 << (nr * nc)) - 1) & ~defined
     if not undefined:
-        picked = _rank_tight_leaves(f, row_groups, col_groups, masks)
+        picked = _rank_tight_leaves(row_groups, col_groups, masks)
         if picked is not None:
             return _disjoint_result(row_groups, col_groups, picked)
     cands = []
@@ -784,27 +795,19 @@ def _disjoint_result(row_groups, col_groups, picked):
     return len(rects), Cover(None, rects)
 
 
-def _rank_tight_leaves(f, row_groups, col_groups, masks):
-    """The leaves of the depth search's protocol tree on the total matrix
-    ``f`` as merged (row mask, col mask) pairs, when they number
-    rank(0-cells) + rank(1-cells), the least count of any partition;
-    None when they number more or the depth search exceeds its cap."""
+def _rank_tight_leaves(row_groups, col_groups, masks):
+    """The leaves of the depth search's protocol tree on a total merged
+    matrix as (row mask, col mask) pairs, when they number rank(0-cells) +
+    rank(1-cells), the least count of any partition; None when they number
+    more or the depth search exceeds its cap."""
     try:
-        leaves = exact_deterministic_cc(f)[1].leaves()
+        leaves = _protocol_tree(row_groups, col_groups, masks)[2]
     except CapError:
         return None
     nc = len(col_groups)
     ranks = sum(_rank_q([[m >> c & 1 for c in range(nc)] for m in masks[z]])
                 for z in (0, 1))
-    if len(leaves) != ranks:
-        return None
-    # splits keep equal rows (columns) together, so a leaf holds whole
-    # groups; each group's bit is taken once
-    row_of = {i: r for r, group in enumerate(row_groups) for i in group}
-    col_of = {j: c for c, group in enumerate(col_groups) for j in group}
-    return [(sum(1 << r for r in {row_of[i] for i in leaf.rows}),
-             sum(1 << c for c in {col_of[j] for j in leaf.cols}))
-            for leaf in leaves]
+    return leaves if len(leaves) == ranks else None
 
 
 def _closed_rectangles(masks, nc):
@@ -926,22 +929,30 @@ def exact_deterministic_cc(f: CommFunction):
     and reuses an inexact bound for any limit it reaches.  The tree walk
     has no limit, so each node's split is the rule's.
 
-    Raises CapError past WORK_CAP units: per r x c rectangle, r*c per
-    canonical form on a cache miss and per split search, then
-    2*r*c*min(r, c) per rank or 2*r*c per fooling set, and the group count
-    per split tried."""
-    n_cols = f.n_cols
-    base = tuple(tuple(-1 if ch == UNDEF else int(ch) for ch in row) for row in f.rows)
-    # where[z][i]: the columns holding a z in row i
-    where = [[sum(1 << j for j, v in enumerate(row) if v == z) for row in base]
-             for z in (0, 1)]
+    Raises CapError past WORK_CAP units: per r x c rectangle of the
+    matrix with equal rows and columns merged, r*c per canonical form on a
+    cache miss and per split search, then 2*r*c*min(r, c) per rank or
+    2*r*c per fooling set, and the group count per split tried."""
+    return _protocol_tree(*_merged(f))[:2]
+
+
+def _protocol_tree(row_groups, col_groups, masks):
+    """``exact_deterministic_cc`` on a ``_merged`` matrix: (depth, tree,
+    leaves), the tree over original indices and its leaves, in tree order,
+    as merged (row mask, col mask) pairs.  Splits keep equal rows (columns)
+    together, and merged columns keep the order of their first original
+    column, so the tree is the one the rule gives on the original matrix."""
+    nr, nc = len(row_groups), len(col_groups)
+    # base[r][c]: the merged cell as -1 (undefined), 0 or 1
+    base = [tuple(0 if zeros >> c & 1 else 1 if ones >> c & 1 else -1 for c in range(nc))
+            for zeros, ones in zip(*masks)]
     memo = {}  # canonical content -> [depth or lower bound, exact]
-    by_rect = {}  # rows mask << n_cols | cols mask -> its memo entry
+    by_rect = {}  # rows mask << nc | cols mask -> its memo entry
     budget = _Budget("protocol-depth")
     no_limit = 10 ** 9
 
     def colors(row_idx, cols):
-        return [z for z in (0, 1) if any(where[z][i] & cols for i in row_idx)]
+        return [z for z in (0, 1) if any(masks[z][i] & cols for i in row_idx)]
 
     def canon(row_idx, col_idx):
         rows = tuple(sorted({tuple(base[i][j] for j in col_idx) for i in row_idx}))
@@ -964,9 +975,9 @@ def exact_deterministic_cc(f: CommFunction):
         budget.charge(r * c)
         if len(colors(row_idx, cols)) < 2:
             return 0, None
-        if any(cols & ~(where[0][i] | where[1][i]) for i in row_idx):
+        if any(cols & ~(masks[0][i] | masks[1][i]) for i in row_idx):
             budget.charge(2 * r * c)
-            leaves = sum(map(len, _greedy_fooling(where, row_idx, cols)))
+            leaves = sum(map(len, _greedy_fooling(masks, row_idx, cols)))
         else:
             budget.charge(4 * r * c * min(r, c))
             leaves = sum(_rank_q([[base[i][j] == z for j in col_idx] for i in row_idx])
@@ -981,17 +992,17 @@ def exact_deterministic_cc(f: CommFunction):
                 key = tuple(base[x][j] for j in col_idx) if side == "rows" \
                     else tuple(base[i][x] for i in row_idx)
                 groups[key] = groups.get(key, 0) | 1 << x
-            masks = [groups[key] for key in sorted(groups)]
-            count = len(masks)
+            group_masks = [groups[key] for key in sorted(groups)]
+            count = len(group_masks)
             # part_a holds group 0; every proper complement appears once
             for pick in range((1 << (count - 1)) - 1):
                 budget.charge(count)
-                part_a, part_b = masks[0], 0
+                part_a, part_b = group_masks[0], 0
                 for k in range(1, count):
                     if pick >> (k - 1) & 1:
-                        part_a |= masks[k]
+                        part_a |= group_masks[k]
                     else:
-                        part_b |= masks[k]
+                        part_b |= group_masks[k]
                 if side == "rows":
                     parts = ((part_a, cols), (part_b, cols))
                 else:
@@ -1008,7 +1019,7 @@ def exact_deterministic_cc(f: CommFunction):
 
     def solve(rows, cols, limit=no_limit):
         """best_split's depth or bound, memoized by canonical content."""
-        rect = rows << n_cols | cols
+        rect = rows << nc | cols
         entry = by_rect.get(rect)
         if entry is None:
             budget.charge(rows.bit_count() * cols.bit_count())
@@ -1019,18 +1030,21 @@ def exact_deterministic_cc(f: CommFunction):
             entry[:] = d, d < limit
         return entry[0]
 
+    leaves = []
+
     def walk(rows, cols):
-        row_idx, col_idx = _mask_to_indices(rows), _mask_to_indices(cols)
+        row_idx, col_idx = _expand(row_groups, rows), _expand(col_groups, cols)
         _, split = best_split(rows, cols)
         if split is None:
+            leaves.append((rows, cols))
             return ProtocolNode(row_idx, col_idx,
-                                color=min(colors(row_idx, cols)))
+                                color=min(colors(_mask_to_indices(rows), cols)))
         side, parts = split
         return ProtocolNode(row_idx, col_idx, split=side,
                             children=tuple(walk(*part) for part in parts))
 
-    full_rows, full_cols = (1 << f.n_rows) - 1, (1 << n_cols) - 1
-    return solve(full_rows, full_cols), walk(full_rows, full_cols)
+    full_rows, full_cols = (1 << nr) - 1, (1 << nc) - 1
+    return solve(full_rows, full_cols), walk(full_rows, full_cols), leaves
 
 
 # ---------------------------------------------------------------------------
@@ -1044,22 +1058,19 @@ def max_fooling_set(f: CommFunction, z: int):
     opposite value; an undefined cross cell is a wildcard, so it does not
     separate (the pair could still share a z-monochromatic rectangle, and
     the bound fooling <= C^z would break).  One meter covers the graph and
-    the clique search: each cell is charged the pairs it is about to
-    compare with later cells.
+    the clique search: the graph's n(n-1)/2 pairs of the n merged z-cells
+    are charged before any cell is listed, which also bounds the memory
+    of its adjacency masks.
     """
-    if f.n_rows > FOOLING_CAP or f.n_cols > FOOLING_CAP:
-        raise CapError("fooling-set search capped at %dx%d" % (FOOLING_CAP, FOOLING_CAP))
     row_groups, col_groups, masks = _merged(f)
+    n = sum(m.bit_count() for m in masks[z])
+    budget = _Budget("fooling-set clique")
+    budget.charge(n * (n - 1) // 2)
     cells = [(r, c) for r, m in enumerate(masks[z]) for c in _mask_to_indices(m)]
-    n = len(cells)
-    if n == 0:
-        return []
     other = masks[1 - z]
     adj = [0] * n
-    budget = _Budget("fooling-set clique")
     for a in range(n):
         ra, ca = cells[a]
-        budget.charge(n - a - 1)
         for b in range(a + 1, n):
             rb, cb = cells[b]
             if other[ra] >> cb & 1 or other[rb] >> ca & 1:
@@ -1073,7 +1084,10 @@ def max_fooling_set(f: CommFunction, z: int):
 def _max_clique(adj, n, budget):
     """Exact maximum clique with greedy-coloring bound.  Charges
     ``budget``, which raises CapError past its cap: n per node, the
-    vertices its coloring scans."""
+    vertices its coloring scans, and per vertex colored the color classes
+    it may try.  A branch k deep holds a clique of k vertices, whose
+    colorings alone cost about k^3/6 units, so within WORK_CAP the
+    recursion stays a few hundred frames deep."""
     order = sorted(range(n), key=lambda v: -adj[v].bit_count())
     best = [0, 0]  # size, mask
 
@@ -1082,6 +1096,7 @@ def _max_clique(adj, n, budget):
         order_p = [v for v in order if p_mask >> v & 1]
         bounds = {}
         for v in order_p:
+            budget.charge(len(colors))
             for ci, cmask in enumerate(colors):
                 if not (adj[v] & cmask):
                     colors[ci] |= 1 << v

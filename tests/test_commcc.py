@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 from unittest import mock
@@ -249,17 +250,33 @@ def matrices(draw, alphabet, max_rows, max_cols):
     return rows
 
 
+@st.composite
+def repeated_matrices(draw, alphabet, base_size, max_size):
+    """Matrices over ``alphabet`` up to max_size x max_size whose rows and
+    columns are drawn, with repetition, from those of a matrix up to
+    base_size x base_size."""
+    base = draw(matrices(alphabet, base_size, base_size))
+    row_pick = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=max_size))
+    col_pick = draw(st.lists(st.integers(0, len(base[0]) - 1), min_size=1, max_size=max_size))
+    rows = tuple("".join(base[i][j] for j in col_pick) for i in row_pick)
+    assume(any(ch in "01" for row in rows for ch in row))
+    return rows
+
+
 def as_function(rows):
     return CommFunction("random", tuple("r%d" % i for i in range(len(rows))),
                         tuple("c%d" % j for j in range(len(rows[0]))), rows)
 
 
+@functools.cache
 def rule_protocol_tree(f, rows, cols):
-    """Oracle: the depth and tree of ``exact_deterministic_cc``'s stated rule,
-    unmemoized.  Splits run rows before columns over groups of equal rows
-    (columns) sorted by content; group 0 plus the groups picked by the bits
-    of a counter form one side.  A node takes the first split whose worst
-    child is least; a leaf takes the least defined color."""
+    """Oracle: the depth and tree of ``exact_deterministic_cc``'s stated rule
+    on the unmerged matrix, cached by (matrix, rows, columns) alone, with no
+    bounds and no memo by content as in the search.  Splits run rows before
+    columns over groups of equal rows (columns) sorted by content; group 0
+    plus the groups picked by the bits of a counter form one side.  A node
+    takes the first split whose worst child is least; a leaf takes the
+    least defined color."""
     defined = {f.value(i, j) for i in rows for j in cols} - {None}
     if len(defined) < 2:
         return 0, ProtocolNode(rows, cols, color=min(defined, default=None))
@@ -376,6 +393,12 @@ def test_language_problem_bounds():
         language_problem(builtin_language("Z3_LANG"), 0)
     with pytest.raises(CapError):
         language_problem(builtin_language("L5"), 12)
+    # one size check, in the partition builder: the alternating partition
+    # deals n positions to each side
+    for build in (lambda d: language_problem(d, 8),
+                  lambda d: language_problem_partition(d, 9, range(8))):
+        with pytest.raises(CapError, match=r"language problem size 3\^8 exceeds cap"):
+            build(builtin_language("L5"))
 
 
 def test_monoid_problem_trivial():
@@ -645,7 +668,7 @@ def test_cover_and_clique_searches_raise_past_their_node_caps(monkeypatch):
     f = builtin_function("EQ", 3)
     assert min_cover(f, 0)[0] == 5
     assert len(max_fooling_set(f, 0)) == 3
-    # on color 0, EQ_3 takes 1 081 532 cover and 3 668 clique work units;
+    # on color 0, EQ_3 takes 1 081 532 cover and 4 372 clique work units;
     # PDISJ_3's depth search takes 844 443
     monkeypatch.setattr(commcc, "WORK_CAP", 1000)
     with pytest.raises(CapError, match="set-cover"):
@@ -659,6 +682,12 @@ def test_cover_and_clique_searches_raise_past_their_node_caps(monkeypatch):
 def test_disjoint_cover_cap():
     with pytest.raises(CapError):
         min_disjoint_cover(builtin_function("EQ", 5))
+    # the cap counts distinct rows: U_MINUS_LANG at n = 3 has 18 of its 27,
+    # and the candidate walk would allocate 2^18 lists per color
+    f = language_problem(builtin_language("U_MINUS_LANG"), 3)
+    assert len(_merged(f)[0]) == 18
+    with pytest.raises(CapError, match="16x16 distinct rows/columns"):
+        min_disjoint_cover(f)
 
 
 def test_disjoint_cover_work_cap():
@@ -666,6 +695,45 @@ def test_disjoint_cover_work_cap():
     # depth search passes its work cap and its rectangles the candidate cap
     with pytest.raises(CapError, match="partition-candidate"):
         min_disjoint_cover(builtin_function("IP", 4, q=3))
+
+
+def reference_merged(f):
+    """Oracle: ``_merged`` spelled cell by cell on the whole matrix."""
+    rows, cols = {}, {}
+    for i, row in enumerate(f.rows):
+        rows.setdefault(row, []).append(i)
+    for j, col in enumerate(zip(*f.rows)):
+        cols.setdefault(col, []).append(j)
+    reps = [g[0] for g in cols.values()]
+    masks = [[sum(1 << c for c, j in enumerate(reps) if row[j] == z)
+              for row in rows] for z in "01"]
+    return list(rows.values()), list(cols.values()), masks
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.one_of(matrices("01*", 8, 8), repeated_matrices("01*", 5, 9)))
+def test_merged_matches_the_cellwise_definition(rows):
+    f = as_function(rows)
+    assert _merged(f) == reference_merged(f)
+
+
+def test_oracles_on_language_problems_read_the_merged_matrix():
+    # each matrix is past a size cap that used to count unmerged rows:
+    # Z3_LANG at n = 5 is 32x32 but 3x3 merged, and the n = 4 problems are
+    # 81x81 but at most 55x55 merged
+    z3 = language_problem(builtin_language("Z3_LANG"), 5)
+    assert (z3.n_rows, len(_merged(z3)[0])) == (32, 3)
+    count, cover = min_disjoint_cover(z3)
+    validate_disjoint_cover(z3, cover)
+    assert count == 6
+    for name, size in (("U_MINUS_LANG", 22), ("U_PLUS_LANG", 54), ("BA2_LANG", 54)):
+        f = language_problem(builtin_language(name), 4)
+        assert f.n_rows == 81
+        cells = max_fooling_set(f, 1)
+        assert len(cells) == size, name
+        assert all(f.value(i, j) == 1 for i, j in cells)
+    # 128x128 with distinct rows: the clique's meter alone bounds the search
+    assert len(max_fooling_set(builtin_function("EQ", 7), 1)) == 128
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
@@ -696,18 +764,8 @@ def test_min_disjoint_cover_matches_brute_oracle(rows):
     assert count == len(cover.rectangles) == brute_min_disjoint(f)
 
 
-@st.composite
-def repeated_total_matrices(draw):
-    """Total matrices up to 7x7 whose rows and columns are drawn, with
-    repetition, from those of a smaller matrix."""
-    base = draw(matrices("01", 5, 5))
-    row_pick = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=7))
-    col_pick = draw(st.lists(st.integers(0, len(base[0]) - 1), min_size=1, max_size=7))
-    return tuple("".join(base[i][j] for j in col_pick) for i in row_pick)
-
-
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
-@given(st.one_of(matrices("01", 7, 7), repeated_total_matrices()))
+@given(st.one_of(matrices("01", 7, 7), repeated_matrices("01", 5, 7)))
 # equal rows share one leaf: each group counts once in the leaf's mask
 @example(("10", "10", "01"))
 def test_rank_tight_leaves_match_the_partition_search(rows):
@@ -784,7 +842,9 @@ def test_exact_cc_cap():
 
 
 @settings(max_examples=120, derandomize=True, deadline=None, database=None)
-@given(matrices("01*", 5, 5))
+# the second strategy repeats rows and columns, so the search, which runs on
+# the merged matrix, is checked against the rule on the unmerged one
+@given(st.one_of(matrices("01*", 5, 5), repeated_matrices("01*", 5, 7)))
 def test_exact_cc_matches_rule_oracle(rows):
     f = as_function(rows)
     everything = (tuple(range(f.n_rows)), tuple(range(f.n_cols)))
@@ -919,14 +979,35 @@ def test_fooling_matches_brute_oracle():
 
 
 def test_fooling_graph_is_charged_to_the_clique_meter(monkeypatch):
-    # EQ_3 has 56 zero-cells; the first is charged the 55 pairs it compares
+    # EQ_3's 56 zero-cells make 1540 pairs, all charged before any cell is
+    # listed: one unit short of them, no cell is listed and no adjacency
+    # mask built
     def no_search(*args):
         raise AssertionError("the clique search was reached")
+
+    def no_listing(*args):
+        raise AssertionError("a cell was listed")
 
     monkeypatch.setattr(commcc, "_max_clique", no_search)
     monkeypatch.setattr(commcc, "WORK_CAP", 54)
     with pytest.raises(CapError, match="fooling-set"):
         max_fooling_set(builtin_function("EQ", 3), 0)
+    monkeypatch.setattr(commcc, "_mask_to_indices", no_listing)
+    monkeypatch.setattr(commcc, "WORK_CAP", 1539)
+    with pytest.raises(CapError, match="fooling-set clique"):
+        max_fooling_set(builtin_function("EQ", 3), 0)
+
+
+def test_clique_colorings_are_charged(monkeypatch):
+    # EQ's 1-cells form a complete graph, whose coloring of p vertices tries
+    # about p^2/2 classes: EQ_7 takes 374 144 units, and EQ_10 passes
+    # WORK_CAP about a dozen frames into its branch of 1024, which nested
+    # past the interpreter's recursion limit while only nodes were charged
+    with pytest.raises(CapError, match="fooling-set clique"):
+        max_fooling_set(builtin_function("EQ", 10), 1)
+    monkeypatch.setattr(commcc, "WORK_CAP", 374_143)
+    with pytest.raises(CapError, match="fooling-set clique"):
+        max_fooling_set(builtin_function("EQ", 7), 1)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
