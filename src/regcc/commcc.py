@@ -7,9 +7,11 @@ wildcards inside rectangles: a z-monochromatic rectangle must avoid defined
 
 Exact solvers: minimum rectangle cover (branch and bound over maximal
 rectangles), minimum disjoint cover (on total functions the leaves of a
-rank-tight protocol tree, else a rank-bounded search; an integer program
-on promise ones), deterministic protocol depth, maximum fooling set
-(maximum clique), maximum rectangle measure.
+rank-tight protocol tree, else a rank-bounded level search; on promise
+ones the same search at the ranks of the undefined cells' 0/1
+completions, with an integer program only when no partition meets that
+bound), deterministic protocol depth, maximum fooling set (maximum
+clique), maximum rectangle measure.
 
 The protocol depth is one memoized search over row and column
 bipartitions, whose first optimal split at each node gives the protocol
@@ -66,7 +68,8 @@ MEASURE_CAP = 32
 CONCEPT_CAP = 300_000
 # work of one cover, clique, depth, partition or reduction-verify call, in the
 # units its docstring names; at n <= 3 the built-ins spend at most 2 200 946 (PIP2
-# ZERO_SIDED depth)
+# ZERO_SIDED depth), and the partition meter at most 2 099 631 (PIP2 ZERO_SIDED,
+# nearly all of it the ranks of 2^15 completions)
 WORK_CAP = 6_000_000
 
 
@@ -616,95 +619,265 @@ def _rank_q(mat) -> int:
     return r
 
 
-def _greedy_partition(cands, cells):
-    """Deterministic greedy exact-cover of the flat bits ``cells``: first
-    uncovered cell, largest admissible candidate.  ``cands``: (rows, cols,
-    color, def_mask, foot_mask).  Always succeeds because single-cell
-    hulls are among the candidates."""
-    covered = used = 0
-    picked = []
-    rest = cells
-    while rest:
-        cellbit = rest & -rest
-        best = None
-        for cand in cands:
-            if not (cand[3] & cellbit):
-                continue
-            if cand[3] & covered or cand[4] & used:
-                continue
-            if best is None or cand[3].bit_count() > best[3].bit_count():
-                best = cand
-        covered |= best[3]
-        used |= best[4]
-        picked.append(best)
-        rest &= ~covered
-    return picked
+# a prime above every minor of a 0/1 matrix with at most DISJOINT_CAP rows:
+# Hadamard's bound gives |det| <= (k + 1)^((k + 1) / 2) / 2^k, under 440 000
+# at k = 16, so a rank modulo this prime is the rank over Q
+_RANK_PRIME = 1_000_003
+# matrices per batch of _completion_ranks
+_RANK_BATCH = 4096
 
 
-def _partition_color_exact(cands_z, full, nr, nc):
-    """Minimum exact cover of one color's cells ``full`` by its rectangles.
+def _batch_ranks(mats):
+    """Ranks over Q of a (batch, rows, cols) stack of 0/1 matrices, by
+    fraction-free elimination modulo _RANK_PRIME: each row takes the pivot
+    times itself minus its entry times the pivot row.  That keeps the rank
+    of the other rows and zeroes the pivot row, so a column's pivot is its
+    first nonzero entry."""
+    mats = mats.astype(np.int64)
+    ranks = np.zeros(len(mats), dtype=np.int64)
+    each = np.arange(len(mats))
+    for j in range(mats.shape[2]):
+        col = mats[:, :, j]
+        pivot = (col != 0).argmax(axis=1)
+        value = col[each, pivot]
+        ranks += value != 0
+        # a matrix with no pivot here has a zero column and stays as it is
+        value[value == 0] = 1
+        mats = (value[:, None, None] * mats
+                - col[:, :, None] * mats[each, pivot][:, None, :]) % _RANK_PRIME
+    return ranks
 
-    Iterative deepening from the rank bound; at each node the rank of the
-    still-uncovered cell matrix must fit in the remaining budget, which
-    forces nearly every placement to strictly reduce rank.  Some depth
-    succeeds, since the rank bound is valid and a partition exists.  The
-    cells below a node's lowest uncovered cell are covered, so a fitting
-    candidate has that cell as its own lowest: ``by_low`` lists the
-    candidates by lowest cell, largest first.  Raises CapError past
-    WORK_CAP units: one per candidate tried, nr*nc per rank computed.
+
+def _completion_ranks(cells, extra, nr, nc):
+    """The rank over Q of the cell set ``cells`` plus each subset of the
+    flat bits ``extra`` (a list), indexed by the subset's bits in the order
+    of ``extra``."""
+    base = np.array([cells >> k & 1 for k in range(nr * nc)], dtype=np.int8)
+    shifts = np.arange(len(extra))
+    out = np.empty(1 << len(extra), dtype=np.int64)
+    for start in range(0, len(out), _RANK_BATCH):
+        subsets = np.arange(start, min(len(out), start + _RANK_BATCH))
+        mats = np.tile(base, (len(subsets), 1))
+        mats[:, extra] = subsets[:, None] >> shifts & 1
+        out[start:start + len(subsets)] = _batch_ranks(mats.reshape(-1, nr, nc))
+    return out
+
+
+class _Partitions:
+    """Minimum partitions of the defined cells, from completion ranks.
+
+    In a partition, the z-parts cover the z-cells plus a set A_z of
+    undefined cells, A_0 and A_1 disjoint.  Their 0/1 matrices sum to that
+    completion's, so they number at least its rank over Q, and at least
+    the color's fooling number ``fooling[z]``.  A color whose candidates
+    reach u undefined cells lists this bound for all 2^u completions when
+    2^u nr nc <= WORK_CAP / 2, charging nr nc per rank; a color reaching
+    more is bounded by its fooling number alone.  ``bound`` is the least
+    sum over disjoint completions, from one subset-min transform over
+    color 1's.  A total matrix has the empty completion alone.
+
+    ``level(k)`` tries each split p_0 + p_1 = k.  A listed color runs a
+    lowest-cell exact-cover DFS on each fixed completion whose bound fits,
+    pruned by the rank of the cells left, and memoizes each completion's
+    first partition.  A color not listed runs the DFS over its defined
+    cells with its undefined cells optional, pruned by a count bound.
+    Color 1 must fit in the undefined cells that color 0's parts leave
+    free.  The lowest cell left is covered by a part whose lowest cell it
+    is, so ``by_low[z]`` (over all cells, for fixed completions) and
+    ``by_def[z]`` (over defined cells, for optional ones) list the
+    candidates by lowest cell, largest first.  Charges ``work``, which
+    raises CapError past its cap: one unit per candidate tried, nr nc per
+    rank over Q listed or computed, nr per rank over GF(2), and one per 64
+    of color 1's completions scanned.
     """
-    rank_cache = {}
-    work = _Budget("partition")
 
-    def rank_of(mask):
-        got = rank_cache.get(mask)
+    def __init__(self, cands, z_cells, undefined, fooling, nr, nc, work):
+        self.z_cells, self.undefined, self.nr, self.nc = z_cells, undefined, nr, nc
+        self.work, self.ranks, self.memo, self.loose = work, {}, {}, {}
+        self.by_low, self.by_def, self.most, self.extra, self.bounds = [], [], [], [], []
+        for z in (0, 1):
+            by_low, by_def, reach = {}, {}, 0
+            for cand in sorted((c for c in cands if c[2] == z),
+                               key=lambda c: (-c[4].bit_count(), c[:2])):
+                by_low.setdefault(cand[4] & -cand[4], []).append(cand)
+                by_def.setdefault(cand[3] & -cand[3], []).append(cand)
+                reach |= cand[4]
+            extra = list(_mask_to_indices(reach & undefined))
+            if (1 << len(extra)) * nr * nc <= WORK_CAP // 2:
+                work.charge((1 << len(extra)) * nr * nc)
+                bounds = np.maximum(_completion_ranks(z_cells[z], extra, nr, nc), fooling[z])
+            else:
+                extra, bounds = None, np.array([fooling[z]])
+            self.by_low.append(by_low)
+            self.by_def.append(by_def)
+            self.most.append(max((c[3].bit_count() for group in by_def.values()
+                                  for c in group), default=1))
+            self.extra.append(extra)
+            self.bounds.append(bounds)
+        # least[s]: the least bound of color 1 over the subsets of s
+        least = self.bounds[1].copy()
+        for i in range(len(self.extra[1] or ())):
+            view = least.reshape(-1, 2, 1 << i)
+            np.minimum(view[:, 1], view[:, 0], out=view[:, 1])
+        self.least, self.full1 = least, len(least) - 1
+        self.subsets1 = np.arange(len(least))
+        # left1[s]: color 1's listed cells that color 0's completion s leaves
+        subsets0 = np.arange(len(self.bounds[0]))
+        self.left1 = np.full(len(subsets0), self.full1)
+        for i, cell in enumerate(self.extra[0] or ()):
+            self.left1 ^= (subsets0 >> i & 1) * self._index1(1 << cell)
+        self.bound = int((self.bounds[0] + least[self.left1]).min())
+
+    def _index1(self, mask):
+        """The subset of color 1's listed cells in ``mask``, as an index."""
+        return sum(1 << i for i, cell in enumerate(self.extra[1] or ()) if mask >> cell & 1)
+
+    def _rank_above(self, mask, budget):
+        """Whether the cells ``mask`` have rank over Q above ``budget``.
+        Their rank over GF(2), a lower bound from XORs of row masks, is
+        tried first; it settles most pruned nodes, and the exact rank is
+        cached by mask."""
+        nr, nc = self.nr, self.nc
+        self.work.charge(nr)
+        row, pivots = (1 << nc) - 1, {}
+        for i in range(nr):
+            bits = mask >> (i * nc) & row
+            while bits and bits.bit_length() in pivots:
+                bits ^= pivots[bits.bit_length()]
+            if bits:
+                pivots[bits.bit_length()] = bits
+        if len(pivots) > budget:
+            return True
+        got = self.ranks.get(mask)
         if got is None:
-            work.charge(nr * nc)
-            got = _rank_q([[1 if mask >> (i * nc + j) & 1 else 0
-                            for j in range(nc)] for i in range(nr)])
-            rank_cache[mask] = got
-        return got
+            self.work.charge(nr * nc)
+            got = self.ranks[mask] = _rank_q(
+                [[mask >> (i * nc + j) & 1 for j in range(nc)] for i in range(nr)])
+        return got > budget
 
-    by_low = {}
-    for cand in sorted(cands_z, key=lambda c: (-c[3].bit_count(), c[:2])):
-        by_low.setdefault(cand[3] & -cand[3], []).append(cand)
-
-    def dfs(remaining, budget, acc):
-        if not remaining:
+    def _exact(self, z, left, budget, acc):
+        """The first partition, after ``acc``, of the cells ``left`` into
+        at most ``budget`` of color z's candidates; None if none."""
+        if not left:
             return list(acc)
-        if budget == 0 or rank_of(remaining) > budget:
+        if budget == 0 or self._rank_above(left, budget):
             return None
-        for cand in by_low[remaining & -remaining]:
-            work.charge(1)
-            if cand[3] & ~remaining == 0:
+        for cand in self.by_low[z].get(left & -left, ()):
+            self.work.charge(1)
+            if cand[4] & ~left == 0:
                 acc.append(cand)
-                got = dfs(remaining & ~cand[3], budget - 1, acc)
+                got = self._exact(z, left & ~cand[4], budget - 1, acc)
                 acc.pop()
                 if got is not None:
                     return got
         return None
 
-    budget = rank_of(full)
-    while True:
-        got = dfs(full, budget, [])
-        if got is not None:
-            return got
-        budget += 1
+    def _optional(self, z, left, blocked, budget, acc):
+        """Each partition, after ``acc``, of the z-cells ``left`` into at
+        most ``budget`` of color z's candidates that avoid the cells
+        ``blocked``; no candidate holds more than ``most[z]`` defined
+        cells."""
+        if not left:
+            yield list(acc)
+            return
+        if budget * self.most[z] < left.bit_count():
+            return
+        for cand in self.by_def[z].get(left & -left, ()):
+            self.work.charge(1)
+            if not cand[4] & blocked:
+                acc.append(cand)
+                yield from self._optional(z, left & ~cand[3], blocked | cand[4],
+                                          budget - 1, acc)
+                acc.pop()
+
+    def _fixed(self, z, subset, budget):
+        """The memoized first partition of color z's completion ``subset``
+        into at most ``budget`` parts, or None."""
+        entry = self.memo.setdefault((z, subset), [-1, None])
+        refuted, found = entry
+        if found is not None and len(found) <= budget:
+            return found
+        if budget <= refuted:
+            return None
+        extra = self.extra[z]
+        target = self.z_cells[z] | sum(1 << extra[i] for i in _mask_to_indices(subset))
+        got = self._exact(z, target, budget, [])
+        if got is None:
+            entry[0] = budget
+        else:
+            entry[1] = got
+        return got
+
+    def _used(self, parts):
+        """The undefined cells of ``parts``."""
+        used = 0
+        for cand in parts:
+            used |= cand[4]
+        return used & self.undefined
+
+    def _parts0(self, budget, budget1):
+        """Color 0's partitions into at most ``budget`` parts that leave
+        color 1 a completion bounded by ``budget1``; optional ones only
+        once per set of undefined cells they use."""
+        if self.extra[0] is None:
+            seen = set()
+            for parts in self._optional(0, self.z_cells[0], 0, budget, []):
+                used = self._used(parts)
+                if used not in seen and self.least[self.full1 ^ self._index1(used)] <= budget1:
+                    seen.add(used)
+                    yield parts
+            return
+        fits = (self.bounds[0] <= budget) & (self.least[self.left1] <= budget1)
+        for subset in np.flatnonzero(fits).tolist():
+            parts = self._fixed(0, subset, budget)
+            if parts is not None:
+                yield parts
+
+    def _parts1(self, budget, taken):
+        """Color 1's first partition into at most ``budget`` parts that
+        avoids the undefined cells ``taken``, or None."""
+        if self.extra[1] is None:
+            key = (taken, budget)
+            if key not in self.loose:
+                self.loose[key] = next(self._optional(1, self.z_cells[1], taken, budget, []),
+                                       None)
+            return self.loose[key]
+        self.work.charge(len(self.subsets1) // 64)
+        fits = (self.bounds[1] <= budget) & (self.subsets1 & self._index1(taken) == 0)
+        for subset in np.flatnonzero(fits).tolist():
+            parts = self._fixed(1, subset, budget)
+            if parts is not None:
+                return parts
+        return None
+
+    def level(self, k):
+        """The first partition into at most k parts over the splits
+        p_0 + p_1 = k by rising p_0, or None if there is none."""
+        low0, low1 = int(self.bounds[0].min()), int(self.bounds[1].min())
+        for p0 in range(low0, k - low1 + 1):
+            for parts in self._parts0(p0, k - p0):
+                got = self._parts1(k - p0, self._used(parts))
+                if got is not None:
+                    return parts + got
+        return None
 
 
 def milp(*args, **kwargs):
     """scipy.optimize.milp, imported on the first call so that only a
-    promise disjoint cover pays for scipy.  Kept as a module-level name
-    because perfbench/spans.py traces the binding regcc.commcc.milp."""
+    promise disjoint cover that misses its completion-rank bound pays for
+    scipy.  Kept as a module-level name because perfbench/spans.py traces
+    the binding regcc.commcc.milp."""
     from scipy.optimize import milp as scipy_milp
 
     return scipy_milp(*args, **kwargs)
 
 
-def _partition_milp(cands, cell_bits, und_bits, lower, upper):
+def _partition_milp(cands, cell_bits, und_bits, lower):
     """Exact minimum exact-cover of the defined cell bits by candidates,
-    with at-most-once use of undefined cells; lower/upper are valid bounds
-    supplied as constraints so optimality closes at the known bound."""
+    with at-most-once use of undefined cells, by HiGHS.  ``lower`` is a
+    proven bound, checked against the optimum rather than imposed: a
+    count row at the optimum roughly doubles HiGHS's time on random
+    promise matrices up to 8x8."""
     from scipy import sparse
     from scipy.optimize import Bounds, LinearConstraint
 
@@ -728,12 +901,14 @@ def _partition_milp(cands, cell_bits, und_bits, lower, upper):
         constraints.append(LinearConstraint(
             sparse.csr_matrix((np.ones(len(ub_rows)), (ub_rows, ub_cols)),
                               shape=(len(und_bits), n_vars)), 0, 1))
-    constraints.append(LinearConstraint(np.ones((1, n_vars)), lower, upper))
     res = milp(c=np.ones(n_vars), constraints=constraints,
                integrality=np.ones(n_vars), bounds=Bounds(0, 1))
     if res.status != 0:
         raise CcError("partition solve failed: %s" % res.message)
-    return [cands[v] for v in range(n_vars) if res.x[v] > 0.5]
+    picked = [cands[v] for v in range(n_vars) if res.x[v] > 0.5]
+    if len(picked) < lower:
+        raise CcError("partition solve beat its proven bound %d" % lower)
+    return picked
 
 
 def min_disjoint_cover(f: CommFunction):
@@ -745,11 +920,15 @@ def min_disjoint_cover(f: CommFunction):
     The leaves of a protocol tree partition the matrix, so when the depth
     search's tree has rank(0-cells) + rank(1-cells) leaves, they are a
     minimum partition and are returned.  Otherwise (or when the depth
-    search exceeds its work cap) the colors split (opposite-color
-    rectangles cannot meet without undefined cells) and each deepens from
-    its rank bound under the partition search's work cap.  A promise
-    matrix takes the greedy partition when it meets the fooling-set
-    bound, else the integer program."""
+    search exceeds its work cap) the level search of ``_Partitions``
+    deepens from the rank sum under the partition search's work cap.
+
+    On a promise function the parts of a color cover its cells plus some
+    undefined ones, so the bound is the least sum over the two colors of
+    the ranks of such 0/1 completions, each at least the color's fooling
+    number.  The level search tries that bound alone; when no partition
+    meets it, or its meter runs out, the integer program proves the
+    count from one more than the bound, or from the bound."""
     row_groups, col_groups, masks = _merged(f)
     nr, nc = len(row_groups), len(col_groups)
     if nr > DISJOINT_CAP or nc > DISJOINT_CAP:
@@ -766,23 +945,22 @@ def min_disjoint_cover(f: CommFunction):
     for rows_mask, cols_mask, color in _closed_rectangles(masks, nc):
         foot = _cells(rows_mask, cols_mask, nc)
         cands.append((rows_mask, cols_mask, color, foot & defined, foot))
-
-    picked = []
+    fooling = [len(_fooling_cells(masks, z)) if undefined and z_cells[z] else 0
+               for z in (0, 1)]
+    search = _Partitions(cands, z_cells, undefined, fooling, nr, nc, _Budget("partition"))
     if not undefined:
-        for z in (0, 1):
-            if not z_cells[z]:
-                continue
-            cands_z = [c for c in cands if c[2] == z]
-            picked.extend(_partition_color_exact(cands_z, z_cells[z], nr, nc))
+        k = search.bound
+        while (picked := search.level(k)) is None:
+            k += 1
     else:
-        greedy = _greedy_partition(cands, defined)
-        lower = max(1, sum(len(max_fooling_set(f, z)) for z in (0, 1) if f.count(z)))
-        if len(greedy) == lower:
-            picked = greedy
-        else:
+        try:
+            picked = search.level(search.bound)
+            lower = search.bound + 1
+        except CapError:
+            picked, lower = None, search.bound
+        if picked is None:
             picked = _partition_milp(
-                cands, _mask_to_indices(defined), _mask_to_indices(undefined),
-                lower, len(greedy))
+                cands, _mask_to_indices(defined), _mask_to_indices(undefined), lower)
 
     return _disjoint_result(row_groups, col_groups, picked)
 
@@ -1063,6 +1241,12 @@ def max_fooling_set(f: CommFunction, z: int):
     of its adjacency masks.
     """
     row_groups, col_groups, masks = _merged(f)
+    return sorted((row_groups[r][0], col_groups[c][0]) for r, c in _fooling_cells(masks, z))
+
+
+def _fooling_cells(masks, z):
+    """``max_fooling_set`` on a ``_merged`` matrix: the merged (row,
+    column) cells of a maximum fooling set for color z."""
     n = sum(m.bit_count() for m in masks[z])
     budget = _Budget("fooling-set clique")
     budget.charge(n * (n - 1) // 2)
@@ -1076,9 +1260,7 @@ def max_fooling_set(f: CommFunction, z: int):
             if other[ra] >> cb & 1 or other[rb] >> ca & 1:
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
-    best_mask = _max_clique(adj, n, budget)
-    return sorted((row_groups[cells[k][0]][0], col_groups[cells[k][1]][0])
-                  for k in _mask_to_indices(best_mask))
+    return [cells[k] for k in _mask_to_indices(_max_clique(adj, n, budget))]
 
 
 def _max_clique(adj, n, budget):

@@ -3,6 +3,7 @@ import itertools
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -18,8 +19,8 @@ from regcc.commcc import (
     simulate_cover_protocol, validate_disjoint_cover,
 )
 from regcc.commcc import (
-    _closed_rectangles, _concepts, _greedy_fooling, _mask_to_indices, _merged,
-    _rank_q, _undominated,
+    _batch_ranks, _cells, _closed_rectangles, _completion_ranks, _concepts,
+    _greedy_fooling, _mask_to_indices, _merged, _rank_q, _undominated,
 )
 from regcc.monoid import (
     FiniteMonoid, OrderedMonoid, ideal_generated, syntactic_ordered_monoid,
@@ -635,9 +636,10 @@ def test_min_disjoint_cover_deepens_past_the_rank_bound(monkeypatch):
             min_disjoint_cover(f)
 
     def no_milp(*args):
-        raise AssertionError("integer program on a total function")
+        raise AssertionError("integer program on a built-in function")
 
-    # every total built-in at n <= 3 answers without the integer program
+    # every built-in at n <= 3 answers without the integer program: the
+    # promise ones meet their completion-rank bound
     monkeypatch.setattr(commcc, "_partition_milp", no_milp)
     for n in (1, 2, 3):
         for name, kwargs in (("EQ", {}), ("NEQ", {}), ("DISJ", {}), ("LT", {}),
@@ -646,6 +648,87 @@ def test_min_disjoint_cover_deepens_past_the_rank_bound(monkeypatch):
             count, cover = min_disjoint_cover(g)
             validate_disjoint_cover(g, cover)
             assert count == len(cover.rectangles)
+    pinned = {("PDISJ", None): (3, 7, 13), ("PIP2", "TWO_SIDED"): (2, 4, 6),
+              ("PIP2", "ZERO_SIDED"): (3, 5, 9)}
+    for (name, variant), counts in pinned.items():
+        kwargs = {"variant": variant} if variant else {}
+        for n, want in zip((1, 2, 3), counts):
+            g = builtin_function(name, n, **kwargs)
+            count, cover = min_disjoint_cover(g)
+            validate_disjoint_cover(g, cover)
+            assert count == len(cover.rectangles) == want, (name, variant, n)
+
+
+def test_promise_disjoint_cover_merges_the_matrix_once(monkeypatch):
+    # the fooling numbers come from the merged view the cover already built
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return _merged(f)
+
+    monkeypatch.setattr(commcc, "_merged", counted)
+    assert min_disjoint_cover(builtin_function("PDISJ", 2))[0] == 7
+    assert len(calls) == 1
+
+
+def test_promise_disjoint_cover_falls_back_past_its_bound(monkeypatch):
+    # the completion ranks bound this matrix by 7, and no partition meets
+    # 7; the search refutes that level, and the integer program proves 8
+    # (brute_min_disjoint agrees, in about three minutes)
+    f = as_function(("1*0**", "*1100", "*0*11", "000*1", "*0101"))
+    lowers = []
+
+    def recorded(cands, cell_bits, und_bits, lower):
+        lowers.append(lower)
+        return partition_milp(cands, cell_bits, und_bits, lower)
+
+    partition_milp = commcc._partition_milp
+    monkeypatch.setattr(commcc, "_partition_milp", recorded)
+    count, cover = min_disjoint_cover(f)
+    validate_disjoint_cover(f, cover)
+    assert count == len(cover.rectangles) == 8
+    assert lowers == [8]
+
+
+def milp_partition_count(f):
+    """Oracle: the integer program on every closed rectangle, with no
+    bound but 1."""
+    row_groups, col_groups, masks = _merged(f)
+    nc = len(col_groups)
+    defined = sum((zeros | ones) << (r * nc) for r, (zeros, ones) in enumerate(zip(*masks)))
+    undefined = ((1 << (len(row_groups) * nc)) - 1) & ~defined
+    cands = []
+    for rows_mask, cols_mask, color in _closed_rectangles(masks, nc):
+        foot = _cells(rows_mask, cols_mask, nc)
+        cands.append((rows_mask, cols_mask, color, foot & defined, foot))
+    return len(commcc._partition_milp(cands, _mask_to_indices(defined),
+                                      _mask_to_indices(undefined), 1))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(matrices("01*", 6, 6))
+def test_promise_disjoint_cover_matches_the_integer_program(rows):
+    assume(any("*" in row for row in rows))
+    f = as_function(rows)
+    count, cover = min_disjoint_cover(f)
+    validate_disjoint_cover(f, cover)
+    assert count == len(cover.rectangles) == milp_partition_count(f)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(matrices("01*", 8, 8))
+def test_completion_ranks_match_the_exact_rank(rows):
+    f = as_function(rows)
+    nr, nc = f.n_rows, f.n_cols
+    ones = sum(1 << (i * nc + j) for i, j in f.z_cells(1))
+    extra = [i * nc + j for i, row in enumerate(rows) for j, ch in enumerate(row)
+             if ch == "*"][:6]
+    ranks = _completion_ranks(ones, extra, nr, nc)
+    for subset in range(1 << len(extra)):
+        mask = ones | sum(1 << extra[k] for k in _mask_to_indices(subset))
+        mat = [[mask >> (i * nc + j) & 1 for j in range(nc)] for i in range(nr)]
+        assert ranks[subset] == _rank_q(mat)
 
 
 def test_partition_search_work_cap(monkeypatch):
@@ -749,12 +832,13 @@ def test_closed_rectangles_match_oracle(rows):
 @given(matrices("01", 16, 16))
 def test_rank_matches_fraction_elimination(rows):
     mat = [[int(ch) for ch in row] for row in rows]
-    assert _rank_q(mat) == fraction_rank(mat)
+    assert _rank_q(mat) == _batch_ranks(np.array([mat]))[0] == fraction_rank(mat)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(st.one_of(matrices("01", 3, 4), matrices("01*", 3, 4)))
-# promise inputs whose greedy partition is not optimal: the integer program decides
+# promise inputs on which a first-cell greedy partition is not optimal; the
+# level search meets their fooling bound
 @example(("10**", "11*1", "1000"))
 @example(("0011", "*101", "*1*1"))
 def test_min_disjoint_cover_matches_brute_oracle(rows):
