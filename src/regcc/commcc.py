@@ -66,11 +66,17 @@ MEASURE_CAP = 32
 # maximal rectangles: intersections kept; partition candidates: (R, C)
 # pairs visited
 CONCEPT_CAP = 300_000
-# work of one cover, clique, depth, partition or reduction-verify call, in the
-# units its docstring names; at n <= 3 the built-ins spend at most 2 200 946 (PIP2
-# ZERO_SIDED depth), and the partition meter at most 2 099 631 (PIP2 ZERO_SIDED,
-# nearly all of it the ranks of 2^15 completions)
+# work of one cover, clique, depth or reduction-verify call, or of one color's
+# partition search, in the units its docstring names; at n <= 3 the built-ins
+# spend at most 2 200 946 (PIP2 ZERO_SIDED depth), and a partition meter at most
+# 2 098 442 (PIP2 ZERO_SIDED color 1, 2 097 152 of it the ranks of 2^15
+# completions)
 WORK_CAP = 6_000_000
+# work of a promise partition search over a color whose completions are not
+# listed: with no rank to prune by, it refutes a level only by enumeration.
+# On 400 random promise matrices up to 8x8 every such search that met its
+# bound spent under 320 000 units, and refutations ran to 2.8M (0.5 s)
+OPTIONAL_CAP = 375_000
 
 
 class _Budget:
@@ -619,21 +625,28 @@ def _rank_q(mat) -> int:
     return r
 
 
-# a prime above every minor of a 0/1 matrix with at most DISJOINT_CAP rows:
-# Hadamard's bound gives |det| <= (k + 1)^((k + 1) / 2) / 2^k, under 440 000
-# at k = 16, so a rank modulo this prime is the rank over Q
-_RANK_PRIME = 1_000_003
+# primes above every minor of a 0/1 matrix with at most k rows: Hadamard's
+# bound gives |det| <= (k + 1)^((k + 1) / 2) / 2^k, under 40 400 at k = 14 and
+# under 440 000 at k = DISJOINT_CAP = 16, so a rank modulo the first prime (for
+# k <= 14) or the second is the rank over Q.  Below the first, a product of two
+# residues fits in int32, which eliminated batches of 4 096 matrices from 7x8 to
+# 12x12 1.4-1.9x faster than int64.
+_RANK_PRIME_32 = 46_337
+_RANK_PRIME_64 = 1_000_003
 # matrices per batch of _completion_ranks
 _RANK_BATCH = 4096
 
 
 def _batch_ranks(mats):
     """Ranks over Q of a (batch, rows, cols) stack of 0/1 matrices, by
-    fraction-free elimination modulo _RANK_PRIME: each row takes the pivot
-    times itself minus its entry times the pivot row.  That keeps the rank
-    of the other rows and zeroes the pivot row, so a column's pivot is its
-    first nonzero entry."""
-    mats = mats.astype(np.int64)
+    fraction-free elimination modulo a prime above every minor: each row
+    takes the pivot times itself minus its entry times the pivot row.
+    That keeps the rank of the other rows and zeroes the pivot row, so a
+    column's pivot is its first nonzero entry."""
+    if min(mats.shape[1:]) <= 14:
+        prime, mats = _RANK_PRIME_32, mats.astype(np.int32)
+    else:
+        prime, mats = _RANK_PRIME_64, mats.astype(np.int64)
     ranks = np.zeros(len(mats), dtype=np.int64)
     each = np.arange(len(mats))
     for j in range(mats.shape[2]):
@@ -644,7 +657,7 @@ def _batch_ranks(mats):
         # a matrix with no pivot here has a zero column and stays as it is
         value[value == 0] = 1
         mats = (value[:, None, None] * mats
-                - col[:, :, None] * mats[each, pivot][:, None, :]) % _RANK_PRIME
+                - col[:, :, None] * mats[each, pivot][:, None, :]) % prime
     return ranks
 
 
@@ -671,10 +684,10 @@ class _Partitions:
     completion's, so they number at least its rank over Q, and at least
     the color's fooling number ``fooling[z]``.  A color whose candidates
     reach u undefined cells lists this bound for all 2^u completions when
-    2^u nr nc <= WORK_CAP / 2, charging nr nc per rank; a color reaching
-    more is bounded by its fooling number alone.  ``bound`` is the least
-    sum over disjoint completions, from one subset-min transform over
-    color 1's.  A total matrix has the empty completion alone.
+    2^u nr nc <= WORK_CAP / 2; a color reaching more is bounded by its
+    fooling number alone.  ``bound`` is the least sum over disjoint
+    completions, from one subset-min transform over color 1's.  A total
+    matrix has the empty completion alone.
 
     ``level(k)`` tries each split p_0 + p_1 = k.  A listed color runs a
     lowest-cell exact-cover DFS on each fixed completion whose bound fits,
@@ -685,16 +698,21 @@ class _Partitions:
     free.  The lowest cell left is covered by a part whose lowest cell it
     is, so ``by_low[z]`` (over all cells, for fixed completions) and
     ``by_def[z]`` (over defined cells, for optional ones) list the
-    candidates by lowest cell, largest first.  Charges ``work``, which
-    raises CapError past its cap: one unit per candidate tried, nr nc per
-    rank over Q listed or computed, nr per rank over GF(2), and one per 64
-    of color 1's completions scanned.
+    candidates by lowest cell, largest first.
+
+    Color z charges its own meter ``work[z]``, which raises CapError past
+    WORK_CAP, or past OPTIONAL_CAP for a color not listed: nr nc per
+    completion rank listed and per cell set whose rank the DFS looks up,
+    one unit per candidate tried, and for color 1 one per 64 completions
+    scanned.  On a total matrix each color thus spends what a separate
+    rank-bounded deepening of that color would.
     """
 
-    def __init__(self, cands, z_cells, undefined, fooling, nr, nc, work):
+    def __init__(self, cands, z_cells, undefined, fooling, nr, nc):
         self.z_cells, self.undefined, self.nr, self.nc = z_cells, undefined, nr, nc
-        self.work, self.ranks, self.memo, self.loose = work, {}, {}, {}
-        self.by_low, self.by_def, self.most, self.extra, self.bounds = [], [], [], [], []
+        self.ranks, self.memo, self.loose = {}, {}, {}
+        self.work, self.by_low, self.by_def, self.most, self.extra, self.bounds = (
+            [], [], [], [], [], [])
         for z in (0, 1):
             by_low, by_def, reach = {}, {}, 0
             for cand in sorted((c for c in cands if c[2] == z),
@@ -704,9 +722,13 @@ class _Partitions:
                 reach |= cand[4]
             extra = list(_mask_to_indices(reach & undefined))
             if (1 << len(extra)) * nr * nc <= WORK_CAP // 2:
-                work.charge((1 << len(extra)) * nr * nc)
-                bounds = np.maximum(_completion_ranks(z_cells[z], extra, nr, nc), fooling[z])
+                self.work.append(_Budget("partition"))
+                self.work[z].charge((1 << len(extra)) * nr * nc)
+                ranks = _completion_ranks(z_cells[z], extra, nr, nc)
+                self.ranks[z_cells[z]] = [int(ranks[0]), True]
+                bounds = np.maximum(ranks, fooling[z])
             else:
+                self.work.append(_Budget("optional partition", OPTIONAL_CAP))
                 extra, bounds = None, np.array([fooling[z]])
             self.by_low.append(by_low)
             self.by_def.append(by_def)
@@ -732,38 +754,41 @@ class _Partitions:
         """The subset of color 1's listed cells in ``mask``, as an index."""
         return sum(1 << i for i, cell in enumerate(self.extra[1] or ()) if mask >> cell & 1)
 
-    def _rank_above(self, mask, budget):
-        """Whether the cells ``mask`` have rank over Q above ``budget``.
-        Their rank over GF(2), a lower bound from XORs of row masks, is
-        tried first; it settles most pruned nodes, and the exact rank is
-        cached by mask."""
-        nr, nc = self.nr, self.nc
-        self.work.charge(nr)
-        row, pivots = (1 << nc) - 1, {}
-        for i in range(nr):
-            bits = mask >> (i * nc) & row
-            while bits and bits.bit_length() in pivots:
-                bits ^= pivots[bits.bit_length()]
-            if bits:
-                pivots[bits.bit_length()] = bits
-        if len(pivots) > budget:
-            return True
+    def _rank_above(self, z, mask, budget):
+        """Whether the cells ``mask`` of color z have rank over Q above
+        ``budget``.  A mask's first look-up takes its rank over GF(2), a
+        lower bound from XORs of row masks that settles most pruned nodes;
+        the exact rank follows only when that one fits.  Both are cached.
+        _rank_q, not _batch_ranks, gives the exact rank: on one random 0/1
+        matrix numpy's per-step overhead made _batch_ranks 5.6x slower at
+        4x4, 2.6x at 8x8, 1.5x at 12x12 and no faster at 16x16 (CPython
+        3.11, numpy 2.4, x86-64)."""
         got = self.ranks.get(mask)
         if got is None:
-            self.work.charge(nr * nc)
-            got = self.ranks[mask] = _rank_q(
-                [[mask >> (i * nc + j) & 1 for j in range(nc)] for i in range(nr)])
-        return got > budget
+            nr, nc = self.nr, self.nc
+            self.work[z].charge(nr * nc)
+            row, pivots = (1 << nc) - 1, {}
+            for i in range(nr):
+                bits = mask >> (i * nc) & row
+                while bits and bits.bit_length() in pivots:
+                    bits ^= pivots[bits.bit_length()]
+                if bits:
+                    pivots[bits.bit_length()] = bits
+            got = self.ranks[mask] = [len(pivots), False]
+        if got[0] <= budget and not got[1]:
+            got[:] = _rank_q([[mask >> (i * self.nc + j) & 1 for j in range(self.nc)]
+                              for i in range(self.nr)]), True
+        return got[0] > budget
 
     def _exact(self, z, left, budget, acc):
         """The first partition, after ``acc``, of the cells ``left`` into
         at most ``budget`` of color z's candidates; None if none."""
         if not left:
             return list(acc)
-        if budget == 0 or self._rank_above(left, budget):
+        if budget == 0 or self._rank_above(z, left, budget):
             return None
         for cand in self.by_low[z].get(left & -left, ()):
-            self.work.charge(1)
+            self.work[z].charge(1)
             if cand[4] & ~left == 0:
                 acc.append(cand)
                 got = self._exact(z, left & ~cand[4], budget - 1, acc)
@@ -783,7 +808,7 @@ class _Partitions:
         if budget * self.most[z] < left.bit_count():
             return
         for cand in self.by_def[z].get(left & -left, ()):
-            self.work.charge(1)
+            self.work[z].charge(1)
             if not cand[4] & blocked:
                 acc.append(cand)
                 yield from self._optional(z, left & ~cand[3], blocked | cand[4],
@@ -842,7 +867,7 @@ class _Partitions:
                 self.loose[key] = next(self._optional(1, self.z_cells[1], taken, budget, []),
                                        None)
             return self.loose[key]
-        self.work.charge(len(self.subsets1) // 64)
+        self.work[1].charge(len(self.subsets1) // 64)
         fits = (self.bounds[1] <= budget) & (self.subsets1 & self._index1(taken) == 0)
         for subset in np.flatnonzero(fits).tolist():
             parts = self._fixed(1, subset, budget)
@@ -877,7 +902,8 @@ def _partition_milp(cands, cell_bits, und_bits, lower):
     with at-most-once use of undefined cells, by HiGHS.  ``lower`` is a
     proven bound, checked against the optimum rather than imposed: a
     count row at the optimum roughly doubles HiGHS's time on random
-    promise matrices up to 8x8."""
+    promise matrices up to 8x8, and a row at the completion-rank bound
+    did not make the slowest of them faster."""
     from scipy import sparse
     from scipy.optimize import Bounds, LinearConstraint
 
@@ -927,8 +953,8 @@ def min_disjoint_cover(f: CommFunction):
     undefined ones, so the bound is the least sum over the two colors of
     the ranks of such 0/1 completions, each at least the color's fooling
     number.  The level search tries that bound alone; when no partition
-    meets it, or its meter runs out, the integer program proves the
-    count from one more than the bound, or from the bound."""
+    meets it, or a meter runs out, the integer program proves the count
+    from one more than the bound, or from the bound."""
     row_groups, col_groups, masks = _merged(f)
     nr, nc = len(row_groups), len(col_groups)
     if nr > DISJOINT_CAP or nc > DISJOINT_CAP:
@@ -947,7 +973,7 @@ def min_disjoint_cover(f: CommFunction):
         cands.append((rows_mask, cols_mask, color, foot & defined, foot))
     fooling = [len(_fooling_cells(masks, z)) if undefined and z_cells[z] else 0
                for z in (0, 1)]
-    search = _Partitions(cands, z_cells, undefined, fooling, nr, nc, _Budget("partition"))
+    search = _Partitions(cands, z_cells, undefined, fooling, nr, nc)
     if not undefined:
         k = search.bound
         while (picked := search.level(k)) is None:

@@ -634,6 +634,13 @@ def test_min_disjoint_cover_deepens_past_the_rank_bound(monkeypatch):
         patch.setattr(commcc, "WORK_CAP", 100)
         with pytest.raises(CapError, match="partition search"):
             min_disjoint_cover(f)
+        # each color has a meter of its own: the 0-cells take 262 units and
+        # the 1-cells 782, so a cap of 782 suffices for both
+        patch.setattr(commcc, "WORK_CAP", 782)
+        assert min_disjoint_cover(f)[0] == 11
+        patch.setattr(commcc, "WORK_CAP", 781)
+        with pytest.raises(CapError, match="partition search"):
+            min_disjoint_cover(f)
 
     def no_milp(*args):
         raise AssertionError("integer program on a built-in function")
@@ -689,6 +696,29 @@ def test_promise_disjoint_cover_falls_back_past_its_bound(monkeypatch):
     validate_disjoint_cover(f, cover)
     assert count == len(cover.rectangles) == 8
     assert lowers == [8]
+
+
+def test_promise_optional_search_falls_back_past_its_cap(monkeypatch):
+    # PIP2 TWO_SIDED at n = 3 reaches too many undefined cells to list
+    # either color's completions; the optional search meets the fooling
+    # bound 6 in about 400 units.  Past its cap the integer program proves
+    # 6 from that bound.
+    f = builtin_function("PIP2", 3, variant="TWO_SIDED")
+    lowers = []
+
+    def recorded(cands, cell_bits, und_bits, lower):
+        lowers.append(lower)
+        return partition_milp(cands, cell_bits, und_bits, lower)
+
+    partition_milp = commcc._partition_milp
+    monkeypatch.setattr(commcc, "_partition_milp", recorded)
+    assert min_disjoint_cover(f)[0] == 6
+    assert lowers == []
+    monkeypatch.setattr(commcc, "OPTIONAL_CAP", 100)
+    count, cover = min_disjoint_cover(f)
+    validate_disjoint_cover(f, cover)
+    assert count == len(cover.rectangles) == 6
+    assert lowers == [6]
 
 
 def milp_partition_count(f):
