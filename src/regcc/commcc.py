@@ -68,9 +68,9 @@ MEASURE_CAP = 32
 CONCEPT_CAP = 300_000
 # work of one cover, clique, depth or reduction-verify call, or of one color's
 # partition search, in the units its docstring names; at n <= 3 the built-ins
-# spend at most 2 200 946 (PIP2 ZERO_SIDED depth), and a partition meter at most
-# 2 098 442 (PIP2 ZERO_SIDED color 1, 2 097 152 of it the ranks of 2^15
-# completions)
+# spend at most 2 098 442 (PIP2 ZERO_SIDED color 1's partition meter, 2 097 152
+# of it the ranks of 2^15 completions), and a depth search at most 404 139
+# (PIP2 ZERO_SIDED)
 WORK_CAP = 6_000_000
 # work of a promise partition search over a color whose completions are not
 # listed: with no rank to prune by, it refutes a level only by enumeration.
@@ -1103,6 +1103,30 @@ def _greedy_fooling(where, row_idx, cols):
     return out
 
 
+def _shallow_depth(masks, rows, cols):
+    """min(2, depth) of the rectangle ``rows`` x ``cols`` (masks), read off
+    ``masks[z][i]``, the columns with a defined z in row i: 0 when at most
+    one defined color occurs, 1 when both do and either no row or no column
+    holds both, else 2.  Undefined cells side with either color, so a split
+    of the rows (columns) into two monochromatic parts exists exactly when
+    every row (column) is monochromatic."""
+    zeros, ones = masks
+    any0 = any1 = 0
+    mixed_row = False
+    while rows:
+        low = rows & -rows
+        i = low.bit_length() - 1
+        rows ^= low
+        m0, m1 = zeros[i] & cols, ones[i] & cols
+        any0 |= m0
+        any1 |= m1
+        if m0 and m1:
+            mixed_row = True
+    if not (any0 and any1):
+        return 0
+    return 2 if mixed_row and any0 & any1 else 1
+
+
 def exact_deterministic_cc(f: CommFunction):
     """Minimum worst-case bits of a deterministic protocol, with an optimal
     protocol tree.  Recursion: a rectangle costs 0 if monochromatic
@@ -1133,10 +1157,17 @@ def exact_deterministic_cc(f: CommFunction):
     and reuses an inexact bound for any limit it reaches.  The tree walk
     has no limit, so each node's split is the rule's.
 
+    The bottom two levels have a closed form, so a call with limit <= 2
+    takes no canonical form, memo entry or split: depth 0 when at most one
+    defined color occurs, else 1 when no row or no column holds both, else
+    at least 2.  Undefined cells side with either color, so the rows split
+    into two monochromatic parts exactly when each row is monochromatic.
+
     Raises CapError past WORK_CAP units: per r x c rectangle of the
-    matrix with equal rows and columns merged, r*c per canonical form on a
-    cache miss and per split search, then 2*r*c*min(r, c) per rank or
-    2*r*c per fooling set, and the group count per split tried."""
+    matrix with equal rows and columns merged, r per closed-form query,
+    r*c per canonical form on a cache miss and per split search, then
+    4*r*c*min(r, c) per rank or 2*r*c per fooling set, and the group count
+    per split tried."""
     return _protocol_tree(*_merged(f))[:2]
 
 
@@ -1177,7 +1208,7 @@ def _protocol_tree(row_groups, col_groups, masks):
         row_idx, col_idx = _mask_to_indices(rows), _mask_to_indices(cols)
         r, c = len(row_idx), len(col_idx)
         budget.charge(r * c)
-        if len(colors(row_idx, cols)) < 2:
+        if not _shallow_depth(masks, rows, cols):
             return 0, None
         if any(cols & ~(masks[0][i] | masks[1][i]) for i in row_idx):
             budget.charge(2 * r * c)
@@ -1222,7 +1253,11 @@ def _protocol_tree(row_groups, col_groups, masks):
         return best, split
 
     def solve(rows, cols, limit=no_limit):
-        """best_split's depth or bound, memoized by canonical content."""
+        """best_split's depth or bound, memoized by canonical content; below
+        limit 3, the closed form of ``_shallow_depth``."""
+        if limit <= 2:
+            budget.charge(rows.bit_count())
+            return _shallow_depth(masks, rows, cols)
         rect = rows << nc | cols
         entry = by_rect.get(rect)
         if entry is None:

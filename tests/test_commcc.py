@@ -20,7 +20,8 @@ from regcc.commcc import (
 )
 from regcc.commcc import (
     _batch_ranks, _cells, _closed_rectangles, _completion_ranks, _concepts,
-    _greedy_fooling, _mask_to_indices, _merged, _rank_q, _undominated,
+    _greedy_fooling, _mask_to_indices, _merged, _rank_q, _shallow_depth,
+    _undominated,
 )
 from regcc.monoid import (
     FiniteMonoid, OrderedMonoid, ideal_generated, syntactic_ordered_monoid,
@@ -782,7 +783,7 @@ def test_cover_and_clique_searches_raise_past_their_node_caps(monkeypatch):
     assert min_cover(f, 0)[0] == 5
     assert len(max_fooling_set(f, 0)) == 3
     # on color 0, EQ_3 takes 1 081 532 cover and 4 372 clique work units;
-    # PDISJ_3's depth search takes 844 443
+    # PDISJ_3's depth search takes 358 116
     monkeypatch.setattr(commcc, "WORK_CAP", 1000)
     with pytest.raises(CapError, match="set-cover"):
         min_cover(f, 0)
@@ -1010,6 +1011,31 @@ def test_cutoff_tree_is_as_tall_as_its_depth(name, variant, bits):
     # depth below the height of the tree built from the same memo
     got, tree = exact_deterministic_cc(builtin_function(name, 3, variant=variant))
     assert got == height(tree) == bits
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(st.one_of(matrices("01*", 6, 6), repeated_matrices("01*", 4, 6)), st.data())
+def test_shallow_depth_matches_the_rule_oracle(rows, data):
+    # the closed form that answers every depth query below limit 3 is the
+    # rule's depth capped at 2, on sampled rectangles of any shape
+    f = as_function(rows)
+    masks = [[sum(1 << j for j, ch in enumerate(row) if ch == z) for row in rows]
+             for z in "01"]
+    rects = data.draw(st.lists(st.tuples(st.integers(1, (1 << f.n_rows) - 1),
+                                         st.integers(1, (1 << f.n_cols) - 1)),
+                               min_size=1, max_size=12))
+    for row_mask, col_mask in rects:
+        depth = rule_protocol_tree(f, _mask_to_indices(row_mask),
+                                   _mask_to_indices(col_mask))[0]
+        assert _shallow_depth(masks, row_mask, col_mask) == min(2, depth)
+
+
+def test_shallow_depth_keeps_the_depth_search_small(monkeypatch):
+    # PIP2 TWO_SIDED at n = 3 spends 16 706 units; it spent 759 529 when
+    # each depth <= 1 query took a canonical form and a split search
+    monkeypatch.setattr(commcc, "WORK_CAP", 20_000)
+    f = builtin_function("PIP2", 3, variant="TWO_SIDED")
+    assert exact_deterministic_cc(f)[0] == 3
 
 
 def rank_depth_bound(rows):
