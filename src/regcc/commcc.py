@@ -7,11 +7,10 @@ wildcards inside rectangles: a z-monochromatic rectangle must avoid defined
 
 Exact solvers: minimum rectangle cover (branch and bound over maximal
 rectangles), minimum disjoint cover (on total functions the leaves of a
-rank-tight protocol tree, else a rank-bounded level search; on promise
-ones the same search at the ranks of the undefined cells' 0/1
-completions, with an integer program only when no partition meets that
-bound), deterministic protocol depth, maximum fooling set (maximum
-clique), maximum rectangle measure.
+rank-tight protocol tree, else one level search deepening from the rank
+bound; on promise ones the same search from the ranks of the undefined
+cells' 0/1 completions), deterministic protocol depth, maximum fooling set
+(maximum clique), maximum rectangle measure.
 
 The protocol depth is one memoized search over row and column
 bipartitions, whose first optimal split at each node gives the protocol
@@ -72,11 +71,6 @@ CONCEPT_CAP = 300_000
 # of it the ranks of 2^15 completions), and a depth search at most 404 139
 # (PIP2 ZERO_SIDED)
 WORK_CAP = 6_000_000
-# work of a promise partition search over a color whose completions are not
-# listed: with no rank to prune by, it refutes a level only by enumeration.
-# On 400 random promise matrices up to 8x8 every such search that met its
-# bound spent under 320 000 units, and refutations ran to 2.8M (0.5 s)
-OPTIONAL_CAP = 375_000
 
 
 class _Budget:
@@ -676,6 +670,25 @@ def _completion_ranks(cells, extra, nr, nc):
     return out
 
 
+def _greedy_blocked_fooling(left, forbid, nr, nc, cap):
+    """A greedy fooling set of the cells ``left`` of an nr x nc matrix, as
+    flat bits: any two of them have a crossing cell in ``forbid``, so no
+    rectangle avoiding ``forbid`` holds both.  Each step takes the lowest
+    cell (r, c) and keeps the cells (r', c') with (r, c') or (r', c) in
+    ``forbid``: row r of ``forbid`` repeated down the rows, or its column c
+    spread along them.  Stops once the set holds more than ``cap`` cells."""
+    row = (1 << nc) - 1
+    rep = ((1 << (nr * nc)) - 1) // row       # bit 0 of every row
+    found = size = 0
+    while left and size <= cap:
+        low = left & -left
+        r, c = divmod(low.bit_length() - 1, nc)
+        found |= low
+        size += 1
+        left = (left ^ low) & ((forbid >> (r * nc) & row) * rep | (forbid >> c & rep) * row)
+    return found
+
+
 class _Partitions:
     """Minimum partitions of the defined cells, from completion ranks.
 
@@ -693,7 +706,9 @@ class _Partitions:
     lowest-cell exact-cover DFS on each fixed completion whose bound fits,
     pruned by the rank of the cells left, and memoizes each completion's
     first partition.  A color not listed runs the DFS over its defined
-    cells with its undefined cells optional, pruned by a count bound.
+    cells with its undefined cells optional, pruned by a count bound and
+    by a greedy fooling set of the cells left against the cells no part
+    may take.
     Color 1 must fit in the undefined cells that color 0's parts leave
     free.  The lowest cell left is covered by a part whose lowest cell it
     is, so ``by_low[z]`` (over all cells, for fixed completions) and
@@ -701,11 +716,11 @@ class _Partitions:
     candidates by lowest cell, largest first.
 
     Color z charges its own meter ``work[z]``, which raises CapError past
-    WORK_CAP, or past OPTIONAL_CAP for a color not listed: nr nc per
-    completion rank listed and per cell set whose rank the DFS looks up,
-    one unit per candidate tried, and for color 1 one per 64 completions
-    scanned.  On a total matrix each color thus spends what a separate
-    rank-bounded deepening of that color would.
+    WORK_CAP: nr nc per completion rank listed and per cell set whose rank
+    the DFS looks up, one unit per candidate tried and per fooling cell
+    taken, and for color 1 one per 64 completions scanned.  On a total
+    matrix each color thus spends what a separate rank-bounded deepening
+    of that color would.
     """
 
     def __init__(self, cands, z_cells, undefined, fooling, nr, nc):
@@ -728,7 +743,7 @@ class _Partitions:
                 self.ranks[z_cells[z]] = [int(ranks[0]), True]
                 bounds = np.maximum(ranks, fooling[z])
             else:
-                self.work.append(_Budget("optional partition", OPTIONAL_CAP))
+                self.work.append(_Budget("optional partition"))
                 extra, bounds = None, np.array([fooling[z]])
             self.by_low.append(by_low)
             self.by_def.append(by_def)
@@ -801,11 +816,17 @@ class _Partitions:
         """Each partition, after ``acc``, of the z-cells ``left`` into at
         most ``budget`` of color z's candidates that avoid the cells
         ``blocked``; no candidate holds more than ``most[z]`` defined
-        cells."""
+        cells.  A node also returns when a greedy fooling set of ``left``
+        against the 1-z cells and ``blocked`` exceeds ``budget``."""
         if not left:
             yield list(acc)
             return
         if budget * self.most[z] < left.bit_count():
+            return
+        fooling = _greedy_blocked_fooling(left, self.z_cells[1 - z] | blocked,
+                                          self.nr, self.nc, budget).bit_count()
+        self.work[z].charge(fooling)
+        if fooling > budget:
             return
         for cand in self.by_def[z].get(left & -left, ()):
             self.work[z].charge(1)
@@ -887,54 +908,9 @@ class _Partitions:
         return None
 
 
-def milp(*args, **kwargs):
-    """scipy.optimize.milp, imported on the first call so that only a
-    promise disjoint cover that misses its completion-rank bound pays for
-    scipy.  Kept as a module-level name because perfbench/spans.py traces
-    the binding regcc.commcc.milp."""
-    from scipy.optimize import milp as scipy_milp
-
-    return scipy_milp(*args, **kwargs)
-
-
-def _partition_milp(cands, cell_bits, und_bits, lower):
-    """Exact minimum exact-cover of the defined cell bits by candidates,
-    with at-most-once use of undefined cells, by HiGHS.  ``lower`` is a
-    proven bound, checked against the optimum rather than imposed: a
-    count row at the optimum roughly doubles HiGHS's time on random
-    promise matrices up to 8x8, and a row at the completion-rank bound
-    did not make the slowest of them faster."""
-    from scipy import sparse
-    from scipy.optimize import Bounds, LinearConstraint
-
-    n_vars = len(cands)
-    eq_rows, eq_cols = [], []
-    ub_rows, ub_cols = [], []
-    cell_pos = {bit: k for k, bit in enumerate(cell_bits)}
-    und_pos = {bit: k for k, bit in enumerate(und_bits)}
-    for v, cand in enumerate(cands):
-        for bit in _mask_to_indices(cand[3]):
-            eq_rows.append(cell_pos[bit])
-            eq_cols.append(v)
-        for bit in _mask_to_indices(cand[4] & ~cand[3]):
-            if bit in und_pos:
-                ub_rows.append(und_pos[bit])
-                ub_cols.append(v)
-    constraints = [LinearConstraint(
-        sparse.csr_matrix((np.ones(len(eq_rows)), (eq_rows, eq_cols)),
-                          shape=(len(cell_bits), n_vars)), 1, 1)]
-    if ub_rows:
-        constraints.append(LinearConstraint(
-            sparse.csr_matrix((np.ones(len(ub_rows)), (ub_rows, ub_cols)),
-                              shape=(len(und_bits), n_vars)), 0, 1))
-    res = milp(c=np.ones(n_vars), constraints=constraints,
-               integrality=np.ones(n_vars), bounds=Bounds(0, 1))
-    if res.status != 0:
-        raise CcError("partition solve failed: %s" % res.message)
-    picked = [cands[v] for v in range(n_vars) if res.x[v] > 0.5]
-    if len(picked) < lower:
-        raise CcError("partition solve beat its proven bound %d" % lower)
-    return picked
+# never called: perfbench/spans.py traces the binding regcc.commcc.milp, and
+# its --trace 1 runs look the name up
+milp = None
 
 
 def min_disjoint_cover(f: CommFunction):
@@ -945,16 +921,18 @@ def min_disjoint_cover(f: CommFunction):
     its 0/1 matrix over Q: a partition sums outer products to that matrix.
     The leaves of a protocol tree partition the matrix, so when the depth
     search's tree has rank(0-cells) + rank(1-cells) leaves, they are a
-    minimum partition and are returned.  Otherwise (or when the depth
-    search exceeds its work cap) the level search of ``_Partitions``
-    deepens from the rank sum under the partition search's work cap.
+    minimum partition and are returned.
 
     On a promise function the parts of a color cover its cells plus some
     undefined ones, so the bound is the least sum over the two colors of
     the ranks of such 0/1 completions, each at least the color's fooling
-    number.  The level search tries that bound alone; when no partition
-    meets it, or a meter runs out, the integer program proves the count
-    from one more than the bound, or from the bound."""
+    number.
+
+    Every other case (a total function whose tree has more leaves or
+    whose depth search exceeds its work cap, and every promise function)
+    runs the level search of ``_Partitions``, deepening from the bound one
+    level at a time until a level holds a partition.  Each color's meter
+    raises CapError past WORK_CAP."""
     row_groups, col_groups, masks = _merged(f)
     nr, nc = len(row_groups), len(col_groups)
     if nr > DISJOINT_CAP or nc > DISJOINT_CAP:
@@ -974,20 +952,9 @@ def min_disjoint_cover(f: CommFunction):
     fooling = [len(_fooling_cells(masks, z)) if undefined and z_cells[z] else 0
                for z in (0, 1)]
     search = _Partitions(cands, z_cells, undefined, fooling, nr, nc)
-    if not undefined:
-        k = search.bound
-        while (picked := search.level(k)) is None:
-            k += 1
-    else:
-        try:
-            picked = search.level(search.bound)
-            lower = search.bound + 1
-        except CapError:
-            picked, lower = None, search.bound
-        if picked is None:
-            picked = _partition_milp(
-                cands, _mask_to_indices(defined), _mask_to_indices(undefined), lower)
-
+    k = search.bound
+    while (picked := search.level(k)) is None:
+        k += 1
     return _disjoint_result(row_groups, col_groups, picked)
 
 

@@ -192,11 +192,18 @@ def test_importing_regcc_leaves_scipy_unloaded():
     # a fresh interpreter: this process may already hold scipy
     src = os.path.dirname(os.path.dirname(os.path.abspath(regcc.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
+    # a random 7x8 promise matrix whose least partition, 12, is above the
+    # first level its search tries
+    rows = "0010001*,01*0*010,*000111*,*1111*00,10*10110,11*01110,1**0**0*".split(",")
     code = ("import sys, regcc, regcc.cli, regcc.reductions; "
-            "print('scipy' in sys.modules)")
+            "from regcc.commcc import CommFunction, min_disjoint_cover; "
+            "rows = %r; "
+            "f = CommFunction('M', tuple(map(str, range(%d))), tuple(map(str, range(%d))), rows); "
+            "print(min_disjoint_cover(f)[0], 'scipy' in sys.modules)"
+            % (tuple(rows), len(rows), len(rows[0])))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out == "False\n"
+    assert out == "12 False\n"
 
 
 def test_closed_stdout_is_a_domain_error():

@@ -20,8 +20,8 @@ from regcc.commcc import (
 )
 from regcc.commcc import (
     _batch_ranks, _cells, _closed_rectangles, _completion_ranks, _concepts,
-    _greedy_fooling, _mask_to_indices, _merged, _rank_q, _shallow_depth,
-    _undominated,
+    _greedy_blocked_fooling, _greedy_fooling, _mask_to_indices, _merged, _rank_q,
+    _shallow_depth, _undominated,
 )
 from regcc.monoid import (
     FiniteMonoid, OrderedMonoid, ideal_generated, syntactic_ordered_monoid,
@@ -630,7 +630,7 @@ def test_min_disjoint_cover_deepens_past_the_rank_bound(monkeypatch):
     validate_disjoint_cover(f, cover)
     assert count == 11
     assert sum(monochromatic_color(f, r) == 1 for r in cover.rectangles) == 6
-    # the work meter stops the search; no integer program stands behind it
+    # the work meter stops the search; nothing stands behind it
     with monkeypatch.context() as patch:
         patch.setattr(commcc, "WORK_CAP", 100)
         with pytest.raises(CapError, match="partition search"):
@@ -643,12 +643,7 @@ def test_min_disjoint_cover_deepens_past_the_rank_bound(monkeypatch):
         with pytest.raises(CapError, match="partition search"):
             min_disjoint_cover(f)
 
-    def no_milp(*args):
-        raise AssertionError("integer program on a built-in function")
-
-    # every built-in at n <= 3 answers without the integer program: the
-    # promise ones meet their completion-rank bound
-    monkeypatch.setattr(commcc, "_partition_milp", no_milp)
+    # every built-in at n <= 3 answers within the meters
     for n in (1, 2, 3):
         for name, kwargs in (("EQ", {}), ("NEQ", {}), ("DISJ", {}), ("LT", {}),
                              ("IP", {"q": 2}), ("IP", {"q": 3})):
@@ -680,51 +675,98 @@ def test_promise_disjoint_cover_merges_the_matrix_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_promise_disjoint_cover_falls_back_past_its_bound(monkeypatch):
+def test_promise_disjoint_cover_deepens_past_its_bound(monkeypatch):
     # the completion ranks bound this matrix by 7, and no partition meets
-    # 7; the search refutes that level, and the integer program proves 8
+    # 7; the search refutes that level and finds 8 at the next
     # (brute_min_disjoint agrees, in about three minutes)
     f = as_function(("1*0**", "*1100", "*0*11", "000*1", "*0101"))
-    lowers = []
+    searches = []
+    partitions = commcc._Partitions
 
-    def recorded(cands, cell_bits, und_bits, lower):
-        lowers.append(lower)
-        return partition_milp(cands, cell_bits, und_bits, lower)
+    def recorded(*args):
+        searches.append(partitions(*args))
+        return searches[-1]
 
-    partition_milp = commcc._partition_milp
-    monkeypatch.setattr(commcc, "_partition_milp", recorded)
+    monkeypatch.setattr(commcc, "_Partitions", recorded)
     count, cover = min_disjoint_cover(f)
     validate_disjoint_cover(f, cover)
     assert count == len(cover.rectangles) == 8
-    assert lowers == [8]
+    search, = searches
+    assert search.bound == 7
+    assert search.level(7) is None
 
 
-def test_promise_optional_search_falls_back_past_its_cap(monkeypatch):
+def test_promise_optional_search_stops_at_its_cap(monkeypatch):
     # PIP2 TWO_SIDED at n = 3 reaches too many undefined cells to list
     # either color's completions; the optional search meets the fooling
-    # bound 6 in about 400 units.  Past its cap the integer program proves
-    # 6 from that bound.
+    # bound 6 in 123 and 108 units, and raises CapError past its cap.  The
+    # fooling-set cliques before it take 168 and 178 units, so only the
+    # optional meters get the cap of 100.
     f = builtin_function("PIP2", 3, variant="TWO_SIDED")
-    lowers = []
-
-    def recorded(cands, cell_bits, und_bits, lower):
-        lowers.append(lower)
-        return partition_milp(cands, cell_bits, und_bits, lower)
-
-    partition_milp = commcc._partition_milp
-    monkeypatch.setattr(commcc, "_partition_milp", recorded)
-    assert min_disjoint_cover(f)[0] == 6
-    assert lowers == []
-    monkeypatch.setattr(commcc, "OPTIONAL_CAP", 100)
     count, cover = min_disjoint_cover(f)
     validate_disjoint_cover(f, cover)
     assert count == len(cover.rectangles) == 6
-    assert lowers == [6]
+
+    class Capped(commcc._Budget):
+        def __init__(self, search, cap=None):
+            super().__init__(search, 100 if search == "optional partition" else cap)
+
+    monkeypatch.setattr(commcc, "_Budget", Capped)
+    with pytest.raises(CapError, match="optional partition"):
+        min_disjoint_cover(f)
+
+
+@pytest.mark.parametrize("rows, want", [
+    ("1*****00,00*1111*,*10*1001,**0*010*,*1**0***,110***1*,011111**", 9),
+    ("01*0*11*,1*1*111*,*0010011,11110000,*10***11,0***100*,**0*0*0*,001****1", 9),
+    ("*0*1010,**0*11*,1***100,11*000*,1**0*11,1111*1*,01**1*0", 9),
+    ("1**10*,11***0,100*01,*11110,1*1*01,*11*10,01***1,1*0*01", 8),
+    ("0010001*,01*0*010,*000111*,*1111*00,10*10110,11*01110,1**0**0*", 12),
+])
+def test_promise_disjoint_cover_deepens_where_the_bound_misses(rows, want):
+    # random promise matrices whose least partition is one above the bound
+    # the search starts from; the first four have a color whose
+    # completions are too many to list
+    f = as_function(tuple(rows.split(",")))
+    count, cover = min_disjoint_cover(f)
+    validate_disjoint_cover(f, cover)
+    assert count == len(cover.rectangles) == want == milp_partition_count(f)
+
+
+def partition_milp(cands, cell_bits, und_bits):
+    """Oracle: exact minimum exact-cover of the defined cell bits by
+    candidates, with at-most-once use of undefined cells, by HiGHS."""
+    from scipy import sparse
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    n_vars = len(cands)
+    eq_rows, eq_cols = [], []
+    ub_rows, ub_cols = [], []
+    cell_pos = {bit: k for k, bit in enumerate(cell_bits)}
+    und_pos = {bit: k for k, bit in enumerate(und_bits)}
+    for v, cand in enumerate(cands):
+        for bit in _mask_to_indices(cand[3]):
+            eq_rows.append(cell_pos[bit])
+            eq_cols.append(v)
+        for bit in _mask_to_indices(cand[4] & ~cand[3]):
+            if bit in und_pos:
+                ub_rows.append(und_pos[bit])
+                ub_cols.append(v)
+    constraints = [LinearConstraint(
+        sparse.csr_matrix((np.ones(len(eq_rows)), (eq_rows, eq_cols)),
+                          shape=(len(cell_bits), n_vars)), 1, 1)]
+    if ub_rows:
+        constraints.append(LinearConstraint(
+            sparse.csr_matrix((np.ones(len(ub_rows)), (ub_rows, ub_cols)),
+                              shape=(len(und_bits), n_vars)), 0, 1))
+    res = milp(c=np.ones(n_vars), constraints=constraints,
+               integrality=np.ones(n_vars), bounds=Bounds(0, 1))
+    assert res.status == 0, res.message
+    return [cands[v] for v in range(n_vars) if res.x[v] > 0.5]
 
 
 def milp_partition_count(f):
-    """Oracle: the integer program on every closed rectangle, with no
-    bound but 1."""
+    """Oracle: the integer program on every closed rectangle."""
     row_groups, col_groups, masks = _merged(f)
     nc = len(col_groups)
     defined = sum((zeros | ones) << (r * nc) for r, (zeros, ones) in enumerate(zip(*masks)))
@@ -733,8 +775,8 @@ def milp_partition_count(f):
     for rows_mask, cols_mask, color in _closed_rectangles(masks, nc):
         foot = _cells(rows_mask, cols_mask, nc)
         cands.append((rows_mask, cols_mask, color, foot & defined, foot))
-    return len(commcc._partition_milp(cands, _mask_to_indices(defined),
-                                      _mask_to_indices(undefined), 1))
+    return len(partition_milp(cands, _mask_to_indices(defined),
+                              _mask_to_indices(undefined)))
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
@@ -745,6 +787,34 @@ def test_promise_disjoint_cover_matches_the_integer_program(rows):
     count, cover = min_disjoint_cover(f)
     validate_disjoint_cover(f, cover)
     assert count == len(cover.rectangles) == milp_partition_count(f)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(matrices("01*", 8, 8), st.integers(0, 1 << 64), st.integers(0, 12))
+def test_greedy_blocked_fooling_is_a_fooling_set(rows, blocked, cap):
+    # the partition search's bound for a color whose completions are not
+    # listed: 1-cells left, no part may take a 0-cell or a blocked cell
+    nr, nc = len(rows), len(rows[0])
+    blocked &= (1 << (nr * nc)) - 1
+    ones = sum(1 << (i * nc + j) for i, row in enumerate(rows)
+               for j, ch in enumerate(row) if ch == "1")
+    zeros = sum(1 << (i * nc + j) for i, row in enumerate(rows)
+                for j, ch in enumerate(row) if ch == "0")
+    left, forbid = ones & ~blocked, zeros | blocked
+    found = _greedy_blocked_fooling(left, forbid, nr, nc, cap)
+    cells = [divmod(bit, nc) for bit in _mask_to_indices(found)]
+    assert found & ~left == 0
+    assert len(cells) <= cap + 1
+
+    def crossed(a, b):
+        return any(forbid >> (i * nc + j) & 1 for i, j in ((a[0], b[1]), (b[0], a[1])))
+
+    for a, b in itertools.combinations(cells, 2):
+        assert crossed(a, b)
+    if len(cells) <= cap:
+        # a greedy run to the end leaves no cell crossed with every cell taken
+        for cell in _mask_to_indices(left & ~found):
+            assert not all(crossed(divmod(cell, nc), b) for b in cells)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
