@@ -21,6 +21,8 @@ import numpy as np
 from .automata import EPSILON, CapError, CcError, Dfa, minimize
 
 MONOID_CAP = 5000
+# element pairs per band of the DS identity check
+_DS_BAND = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,66 @@ class FiniteMonoid:
             omega = powers[-(-index // period) * period - 1]
             out.append((index, period, omega))
         return tuple(out)
+
+    @functools.cached_property
+    def in_ds(self) -> bool:
+        """Whether the monoid lies in DS: ((xy)^w (yx)^w (xy)^w)^w = (xy)^w
+        for all x, y.  Gathers on ``table_array`` and the x^w column of
+        ``cycles``, computed once per monoid, a band of about _DS_BAND
+        pairs at a time so that a failing monoid stops at its first bad
+        band."""
+        table = self.table_array
+        omega = np.array([c[2] for c in self.cycles], dtype=np.int32)
+        step = max(1, _DS_BAND // self.size)
+        for x in range(0, self.size, step):
+            xy = omega[table[x:x + step]]        # (xy)^w at [x, y]
+            yx = omega[table[:, x:x + step]].T   # (yx)^w at [x, y]
+            if not (omega[table[table[xy, yx], xy]] == xy).all():
+                return False
+        return True
+
+    @functools.cached_property
+    def divisor_words(self):
+        """Words over the generators, for the division search with this
+        monoid as the divisor; built once per monoid.
+
+        Returns (words, values, cayley, generated).  ``words`` lists every
+        word of length 1 .. _SCREEN_LEN in shortlex order as (prefix index,
+        generator index), where index 0 is the empty word; ``values[j]``
+        is the value of word j, ``values[0]`` the identity.  ``cayley`` is
+        None unless every element e has a word shorter than _SCREEN_LEN;
+        then, with u_e the least one, it is (tree, relations): the edge
+        e --a--> ea of the Cayley graph is tree[ea] = (e, a) when u_e a is
+        u_(ea), and the relation (e, a, ea) when it is not.  ``generated``
+        says whether the generators generate the monoid.
+        """
+        gens = [g for _, g in self.generators]
+        words, values, frontier = [], [self.identity], [0]
+        for _ in range(_SCREEN_LEN):
+            grown = []
+            for w in frontier:
+                for i, g in enumerate(gens):
+                    words.append((w, i))
+                    values.append(self.table[values[w]][g])
+                    grown.append(len(values) - 1)
+            frontier = grown
+        least = {}
+        for j, v in enumerate(values[:len(values) - len(frontier)]):
+            least.setdefault(v, j)
+        cayley = None
+        if len(least) == self.size:
+            cayley = {}, []
+            for j, (w, i) in enumerate(words, 1):
+                e, f = values[w], values[j]
+                if least[e] == w:
+                    if least[f] == j:
+                        cayley[0][f] = e, i
+                    else:
+                        cayley[1].append((e, i, f))
+        # the BFS names an element it does not reach "#<element>"
+        generated = not any(name.startswith("#") for name in _canonical_names(
+            self.table, self.identity, self.generators, self.size))
+        return words, np.array(values, dtype=np.int32), cayley, generated
 
     def idempotents(self) -> list[int]:
         return [x for x in range(self.size) if self.table[x][x] == x]
@@ -152,6 +214,13 @@ class OrderedMonoid:
 
     def leq(self, x: int, y: int) -> bool:
         return self.order.leq[x][y]
+
+    @functools.cached_property
+    def leq_array(self) -> np.ndarray:
+        """The order as a boolean array, built once per ordered monoid
+        (``syntactic_ordered_monoid`` hands over its own); callers only
+        read it."""
+        return np.array(self.order.leq, dtype=bool)
 
     @classmethod
     def with_equality(cls, m: FiniteMonoid) -> "OrderedMonoid":
@@ -292,7 +361,9 @@ def syntactic_ordered_monoid(d: Dfa, cap: int = MONOID_CAP):
     members = frozenset(i for i, t in enumerate(transforms)
                         if t[dmin.initial] in dmin.accepting)
     ideal = OrderIdeal(members, _maximal_elements(leq, members))
-    return OrderedMonoid(m, order), gens, ideal
+    om = OrderedMonoid(m, order)
+    om.__dict__["leq_array"] = leq
+    return om, gens, ideal
 
 
 def _maximal_elements(leq, members) -> tuple[int, ...]:
@@ -708,6 +779,94 @@ def _preimage_candidates(m: FiniteMonoid, n: FiniteMonoid):
 _SCREEN_LEN = 3
 # preimage tuples screened per numpy block
 _SCREEN_BLOCK = 2048
+# preimage tuples per numpy block of the copy search, whose relations drop
+# most tuples after one or two gathers
+_COPY_BLOCK = 1 << 16
+
+
+def _product_blocks(candidates, size):
+    """The product of ``candidates`` in lexicographic order, as int32
+    arrays of at most ``size`` tuples."""
+    columns = [np.array(c, dtype=np.int32) for c in candidates]
+    total = math.prod(len(c) for c in columns)
+    for start in range(0, total, size):
+        rank = np.arange(start, min(start + size, total))
+        tuples = np.empty((len(rank), len(columns)), dtype=np.int32)
+        for i in reversed(range(len(columns))):
+            rank, digit = np.divmod(rank, len(columns[i]))
+            tuples[:, i] = columns[i][digit]
+        yield tuples
+
+
+def _related(m: FiniteMonoid, n: FiniteMonoid, tuples, tree, relations):
+    """The preimage tuples that meet every relation u_e a = u_f of n, as
+    rows holding m(u_e) in column e and the tuple after those |n| columns.
+    Each relation drops the rows that break it before the next is
+    evaluated, and m(u_e) is evaluated along the tree of least words only
+    when first needed."""
+    size, table = n.size, m.table_array
+    rows = np.empty((len(tuples), size + tuples.shape[1]), dtype=np.int32)
+    rows[:, size:] = tuples
+    rows[:, n.identity] = m.identity
+    known = {n.identity}
+
+    def value(e):
+        if e not in known:
+            parent, i = tree[e]
+            rows[:, e] = table[value(parent), rows[:, size + i]]
+            known.add(e)
+        return rows[:, e]
+
+    for e, i, f in relations:
+        rows = rows[table[value(e), rows[:, size + i]] == value(f)]
+        if not len(rows):
+            return rows
+    for e in tree:
+        value(e)
+    return rows
+
+
+def _least_copy(m_om: OrderedMonoid, n_om: OrderedMonoid, candidates):
+    """The least (sorted closure, preimages) over the preimage tuples whose
+    closure is a copy of n, or None.
+
+    Applies when every element e of n is the value of a word shorter than
+    _SCREEN_LEN (else None); let u_e be its least word.  Each u_e a, for a
+    generator a, is then a word of the screen, and equals u_f in n for
+    f = ea: it is u_f itself or gives the relation u_e a = u_f.  Take a
+    tuple that meets every relation and whose |n| values m(u_e) are
+    distinct.  Every word w has m(w) = m(u_(n(w))), by induction on the
+    length of w: for w = va, m(w) = m(u_(n(v))) m(a) = m(u_(n(v)) a), which
+    the relations make m(u_(n(w))).  So its closure is exactly the |n|
+    values, and m(u_e) -> e is an isomorphism onto n: a copy of n when
+    the order of m on those values is contained in that of n, one gather
+    on ``leq_array``.  No closure is run.
+    """
+    m, n = m_om.monoid, n_om.monoid
+    _, _, cayley, _ = n.divisor_words
+    if cayley is None:
+        return None
+    least = None
+    for tuples in _product_blocks(candidates, _COPY_BLOCK):
+        rows = _related(m, n, tuples, *cayley)
+        if not len(rows):
+            continue
+        values = rows[:, :n.size]
+        closures = np.sort(values, axis=1)
+        keep = (closures[:, 1:] != closures[:, :-1]).all(axis=1)
+        if not keep.any():
+            continue
+        below = m_om.leq_array[values[:, :, None], values[:, None, :]]
+        keep &= ~(below & ~n_om.leq_array).any(axis=(1, 2))
+        if keep.any():
+            # (sorted closure, preimages) keys, least first
+            values[:] = closures
+            keys = rows[keep]
+            row = keys[np.lexsort(keys.T[::-1])[0]].tolist()
+            found = row[:n.size], tuple(row[n.size:])
+            if least is None or found < least:
+                least = found
+    return least
 
 
 def _screened_blocks(m: FiniteMonoid, n: FiniteMonoid, candidates):
@@ -719,29 +878,11 @@ def _screened_blocks(m: FiniteMonoid, n: FiniteMonoid, candidates):
     agree in m but differ in n, with the count of distinct m-values of
     their words.  Both words lie in the closure of the tuple, so a
     dropped tuple has no division map, and the count is a lower bound on
-    its closure size.
+    its closure size.  n's words are built once, in ``divisor_words``.
     """
-    gens = [g for _, g in n.generators]
-    # words breadth-first as (prefix word, last letter); word 0 is empty
-    words, n_values, frontier = [], [n.identity], [0]
-    for _ in range(_SCREEN_LEN):
-        grown = []
-        for w in frontier:
-            for i, g in enumerate(gens):
-                words.append((w, i))
-                n_values.append(n.mul(n_values[w], g))
-                grown.append(len(n_values) - 1)
-        frontier = grown
-    n_values = np.array(n_values, dtype=np.int32)
+    words, n_values, _, _ = n.divisor_words
     table = m.table_array
-    columns = [np.array(c, dtype=np.int32) for c in candidates]
-    total = math.prod(len(c) for c in candidates)
-    for start in range(0, total, _SCREEN_BLOCK):
-        rank = np.arange(start, min(start + _SCREEN_BLOCK, total))
-        tuples = np.empty((len(rank), len(gens)), dtype=np.int32)
-        for i in reversed(range(len(gens))):
-            rank, digit = np.divmod(rank, len(columns[i]))
-            tuples[:, i] = columns[i][digit]
+    for tuples in _product_blocks(candidates, _SCREEN_BLOCK):
         m_values = np.empty((len(tuples), len(n_values)), dtype=np.int32)
         m_values[:, 0] = m.identity
         for j, (w, i) in enumerate(words, 1):
@@ -761,19 +902,34 @@ def divides(n_om: OrderedMonoid, m_om: OrderedMonoid):
     True iff some submonoid of m maps onto n by a surjective morphism of
     ordered monoids.  Such a morphism restricts to the submonoid generated
     by one preimage of each generator of n, so the search runs over tuples
-    of preimages and closes each with ``division_map``.  A candidate
-    preimage of g is an element x whose cyclic submonoid maps functionally
-    onto that of g, decided from the index and period of x and g in
-    ``cycles`` (``_preimage_candidates``).
+    of preimages.  A candidate preimage of g is an element x whose cyclic
+    submonoid maps functionally onto that of g, decided from the index and
+    period of x and g in ``cycles`` (``_preimage_candidates``).
 
-    The product of the candidate lists is screened in blocks
-    (``_screened_blocks``): a tuple is dropped when two words of length
-    <= 3 over n's generators agree in m but differ in n, or when the
-    number of distinct m-values of those words, a lower bound on its
-    closure size, exceeds the best closure found so far.  Survivors are
-    closed in ascending lower-bound order, and a closure stops once it
-    grows past the best one.  For k generators that is still up to |M|^k
-    tuples, each screened with O(k^3) table lookups; a closure costs
+    A call ends at one of three exits, tried in this order:
+
+    * DS.  When m lies in DS (``in_ds``) and n does not, the answer is no
+      before any tuple is listed: DS is closed under division, and ordered
+      division implies division.  Neither BA2+ nor U+ lies in DS.
+    * Copy.  When every element of n is the value of a word shorter than
+      _SCREEN_LEN, ``_least_copy`` finds the tuples whose closure is an
+      isomorphic copy of n by checking n's relations on them, with no
+      closure.  A division map is onto n, so no closure is smaller than
+      |n|, and one of exactly |n| elements is a copy: when there is a
+      copy, the answer is the least one, and ``division_map`` runs once,
+      on it, to build the certificate's map.
+    * Closure.  Otherwise the product of the candidate lists is screened
+      in blocks (``_screened_blocks``): a tuple is dropped when two words
+      of length <= 3 over n's generators agree in m but differ in n, or
+      when the number of distinct m-values of those words, a lower bound
+      on its closure size, exceeds the best closure found so far.
+      Survivors are closed with ``division_map`` in ascending lower-bound
+      order, and a closure stops once it grows past the best one.  The
+      answer is no when none is a division map.
+
+    For k generators the copy search and the screen each walk up to |M|^k
+    tuples: the screen with O(k^3) table lookups per tuple, the copy
+    search dropping most tuples at the first relation.  A closure costs
     O(|M| k) steps plus an O(|M|^2) order check.
 
     Returns (bool, certificate) where the certificate is (preimages in the
@@ -787,12 +943,19 @@ def divides(n_om: OrderedMonoid, m_om: OrderedMonoid):
     search would then miss every division.
     """
     n_m, m_m = n_om.monoid, m_om.monoid
-    gens = [g for _, g in n_m.generators]
-    # the diagonal closure of n's generators is onto n iff they generate it
-    if division_map(n_om, n_om, gens) is None:
+    _, _, _, generated = n_m.divisor_words
+    if not generated:
         raise CcError("the generators of the divisor do not generate it")
+    if m_m.in_ds and not n_m.in_ds:
+        return False, None
+    candidates = _preimage_candidates(m_m, n_m)
+    copy = _least_copy(m_om, n_om, candidates)
+    if copy is not None:
+        preimages = copy[1]
+        image = division_map(n_om, m_om, preimages)
+        return True, (preimages, image, frozenset(image))
     best = None
-    for tuples, lower in _screened_blocks(m_m, n_m, _preimage_candidates(m_m, n_m)):
+    for tuples, lower in _screened_blocks(m_m, n_m, candidates):
         for row in sorted(range(len(tuples)), key=lower.__getitem__):
             limit = None if best is None else best[0][0]
             if limit is not None and lower[row] > limit:

@@ -13,7 +13,9 @@ morphism onto the divisor, and the witnesses by scans over every word
 (and every interleaving) up to the length bound.  Most are exponential or
 cubic, so the random inputs are small and seeded.  Beyond the exhaustive
 oracle's reach, division is checked against the unscreened search: one
-closure per tuple of candidate preimages, in product order.
+closure per tuple of candidate preimages, in product order.  Membership
+in DS, which refutes division by BA2+ and U+, is checked against the
+identity evaluated term by term.
 """
 
 import itertools
@@ -36,8 +38,8 @@ from regcc.classify import (
 from regcc.monoid import (
     FiniteMonoid, OrderedMonoid, StableOrder, _preimage_candidates,
     OrderIdeal, check_property, commutative_quotient, divides, division_map,
-    eval_term, eval_word, exponent, maximal_subgroups, syntactic_ordered_monoid,
-    transition_monoid,
+    eval_term, eval_word, exponent, identity_counterexample, maximal_subgroups,
+    syntactic_ordered_monoid, transition_monoid,
 )
 
 
@@ -256,11 +258,17 @@ def relabeled(om, rng):
 
 Z2 = OrderedMonoid(FiniteMonoid(2, 0, ((0, 1), (1, 0)), ("", "g"), (("g", 1),)),
                    StableOrder.equality(2))
+# g^3 has no word shorter than the screen's words, so division by Z4 never
+# takes the copy search
+Z4 = OrderedMonoid(
+    FiniteMonoid(4, 0, tuple(tuple((i + j) % 4 for j in range(4)) for i in range(4)),
+                 ("", "g", "gg", "ggg"), (("g", 1),)),
+    StableOrder.equality(4))
 
 
 def division_cases():
     # Z2 often has several smallest closures, which tests the tie-break
-    divisors = [builtin_monoid(name)[0] for name in ("BA2_PLUS", "U_PLUS")] + [Z2]
+    divisors = [builtin_monoid(name)[0] for name in ("BA2_PLUS", "U_PLUS")] + [Z2, Z4]
     monoids = [builtin_monoid(name)[0]
                for name in ("BA2_PLUS", "U_MINUS", "U_PLUS", "Z3")]
     # canonical numbering is by shortest word, under which the first
@@ -278,19 +286,74 @@ def division_cases():
     return [(n_om, m_om) for m_om in monoids for n_om in divisors]
 
 
-def test_divides_matches_exhaustive_oracle():
+@pytest.fixture
+def exits(monkeypatch):
+    """``divides`` that counts the exit each call takes: ``ds`` before any
+    search, ``copy`` from the copy search, ``closure`` from closing the
+    screen's survivors, ``larger`` when that closure is larger than the
+    divisor, and ``refuted`` after both searches."""
+    calls = []
+    for name in ("_least_copy", "_screened_blocks"):
+        def spy(*args, real=getattr(monoid, name), name=name):
+            result = real(*args)
+            calls.append((name, result))
+            return result
+        monkeypatch.setattr(monoid, name, spy)
+    counts = Counter()
+
+    def counted(n_om, m_om):
+        calls.clear()
+        got = divides(n_om, m_om)
+        if not calls:
+            assert got == (False, None)
+            counts["ds"] += 1
+        elif calls[0][1] is not None:
+            assert [name for name, _ in calls] == ["_least_copy"]
+            assert len(got[1][2]) == n_om.size
+            counts["copy"] += 1
+        elif got[0]:
+            counts["larger" if len(got[1][2]) > n_om.size else "closure"] += 1
+        else:
+            counts["refuted"] += 1
+        return got
+
+    counted.counts = counts
+    return counted
+
+
+def test_divides_matches_exhaustive_oracle(exits):
     cases = division_cases()
-    assert len(cases) >= 600
-    dividing = 0
+    assert len(cases) >= 800
+    dividing = Counter()
     for n_om, m_om in cases:
-        ok, cert = divides(n_om, m_om)
+        ok, cert = exits(n_om, m_om)
         want_ok, want_closure = exhaustive_divides(n_om, m_om)
         assert ok == want_ok
         if ok:
-            dividing += 1
+            dividing[n_om is Z4] += 1
             assert cert[2] == want_closure
             assert division_map(n_om, m_om, cert[0]) == cert[1]
-    assert dividing >= 10
+    assert dividing[False] >= 10 and dividing[True] >= 1
+    # every exit is taken; Z4 divides by closing alone
+    assert set(exits.counts) == {"ds", "copy", "closure", "larger", "refuted"}, exits.counts
+    assert exits.counts["closure"] == dividing[True], exits.counts
+
+
+def test_in_ds_matches_identity_oracle(monkeypatch):
+    # one row per band, so a failing pair in any row is found in its band
+    monkeypatch.setattr(monoid, "_DS_BAND", 1)
+    monoids = {id(m_om): m_om for _, m_om in division_cases()}.values()
+    in_ds = 0
+    for m_om in monoids:
+        fresh = replace(m_om.monoid)
+        want = identity_counterexample(fresh, "((xy)^w(yx)^w(xy)^w)^w", "(xy)^w") is None
+        assert fresh.in_ds == want, m_om.size
+        in_ds += want
+        if want:
+            for name in ("BA2_PLUS", "U_PLUS"):
+                assert product_divides(builtin_monoid(name)[0], m_om) == (False, None)
+    assert in_ds >= 20 and len(monoids) - in_ds >= 10
+    assert not any(builtin_monoid(name)[0].monoid.in_ds for name in ("BA2_PLUS", "U_PLUS"))
 
 
 # --- oracle: power walks and the pairwise inverse search --------------------
@@ -455,9 +518,10 @@ def test_divides_matches_product_oracle_beyond_twelve():
 
 @pytest.mark.parametrize("block", [1, 3])
 def test_divides_matches_product_oracle_in_small_blocks(monkeypatch, block):
-    # tiny blocks carry the best closure, and its lower-bound cut, across
-    # many blocks of the |M| <= 12 cases
+    # tiny blocks carry the best closure and its lower-bound cut, and the
+    # least copy, across many blocks of the |M| <= 12 cases
     monkeypatch.setattr(monoid, "_SCREEN_BLOCK", block)
+    monkeypatch.setattr(monoid, "_COPY_BLOCK", block)
     for n_om, m_om in division_cases():
         assert divides(n_om, m_om) == product_divides(n_om, m_om)
 
@@ -561,6 +625,16 @@ def test_divides_decides_large_monoids():
     ok, cert = divides(builtin_monoid("BA2_PLUS")[0], om)
     assert ok and len(cert[2]) == 6
     assert [eval_word(om, w) for w in ("a", "b")] == list(cert[0])
+
+
+def test_divides_pins_certificates_beyond_two_thousand():
+    # both divisions are copies: the relation pass walks the |M|^2
+    # product, and one closure replays each winner
+    om, _, _ = syntactic_ordered_monoid(seeded_binary_dfa(91, 7))
+    assert om.size == 2611 and not om.monoid.in_ds
+    for name, preimages in (("BA2_PLUS", (322, 887)), ("U_PLUS", (49, 1237))):
+        ok, cert = divides(builtin_monoid(name)[0], om)
+        assert ok and cert[0] == preimages and len(cert[2]) == 6
 
 
 # --- oracle: commutativity decided on the generators alone -----------------
