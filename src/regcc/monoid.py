@@ -380,9 +380,9 @@ def ideal_generated(om: OrderedMonoid, gens) -> OrderIdeal:
     for g in gens:
         if not (0 <= g < om.size):
             raise CcError("ideal generator %d out of range" % g)
-    members = frozenset(x for x in range(om.size)
-                        if any(om.leq(x, g) for g in gens))
-    return OrderIdeal(members, _maximal_elements(om.order.leq, members))
+    leq = om.leq_array
+    below = np.flatnonzero(leq[:, list(gens)].any(axis=1))
+    return OrderIdeal(frozenset(below.tolist()), _maximal_elements(leq, below))
 
 
 def is_order_ideal(om: OrderedMonoid, members) -> bool:

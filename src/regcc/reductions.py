@@ -11,6 +11,7 @@ construction naturally hits the complement.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -19,7 +20,9 @@ from .classify import (
     builtin_monoid, find_shuffle_witness, is_noncommuting_pair,
     is_shuffle_witness,
 )
-from .commcc import MATERIALIZE_CAP, CommFunction, _Budget, builtin_function
+from .commcc import (
+    MATERIALIZE_CAP, UNDEF, CommFunction, _Budget, builtin_function,
+)
 from .monoid import (
     OrderIdeal, OrderedMonoid, eval_word, find_tq, ideal_generated,
     syntactic_ordered_monoid, tq_period,
@@ -37,6 +40,20 @@ class MonoidTarget:
     def accepted(self, elements) -> bool:
         return self.om.monoid.product(elements) in self.ideal.members
 
+    @property
+    def start(self) -> int:
+        return self.om.monoid.identity
+
+    @property
+    def accepting(self) -> frozenset[int]:
+        return self.ideal.members
+
+    def action(self, entries) -> tuple[int, ...]:
+        """State map of a slot sequence: x goes to x times the product of
+        the entries, folded through the table from the identity."""
+        m = self.om.monoid
+        return tuple(map(operator.itemgetter(m.product(entries)), m.table))
+
 
 @dataclass(frozen=True)
 class LanguageTarget:
@@ -44,6 +61,19 @@ class LanguageTarget:
 
     def accepted(self, word: str) -> bool:
         return accepts(self.dfa, word)
+
+    @property
+    def start(self) -> int:
+        return self.dfa.initial
+
+    @property
+    def accepting(self) -> frozenset[int]:
+        return self.dfa.accepting
+
+    def action(self, entries) -> tuple[int, ...]:
+        """State map of a slot sequence: the moves of its letters, with
+        ``EPSILON`` skipped."""
+        return self.dfa.word_action("".join(entries))
 
 
 @dataclass(frozen=True)
@@ -116,10 +146,7 @@ class LocalReduction:
             bob_seq.extend(self.bob[int(yb)])
         alice_seq.extend(self.alice_suffix)
         bob_seq.extend(self.bob_suffix)
-        out = []
-        for a, b in zip(alice_seq, bob_seq):
-            out.append(a)
-            out.append(b)
+        out = _interleaved(alice_seq, bob_seq)
         if isinstance(self.target, LanguageTarget):
             return "".join(out)
         return out
@@ -210,7 +237,9 @@ def verify_reduction(reduction, n_max: int) -> VerificationReport:
     Reports the first counterexample in canonical order, or PASS with the
     number of checked pairs.  Raises CapError before the first pair when
     n_max exceeds MATERIALIZE_CAP, and past WORK_CAP pairs: each length's
-    defined cells are charged before it is replayed.
+    defined cells are charged before it is replayed.  Each length is
+    replayed as one row string per source row (see ``_replayer``) and
+    compared with the source's rows; an equal row is skipped at once.
     """
     if n_max < 1:
         raise CcError("verification needs n_max >= 1")
@@ -218,18 +247,111 @@ def verify_reduction(reduction, n_max: int) -> VerificationReport:
         raise CapError("verify: n_max=%d outside materialization range 1..%d"
                        % (n_max, MATERIALIZE_CAP))
     budget = _Budget("verify")
+    replay = _replayer(reduction)
     checked = 0
     for n in range(1, n_max + 1):
         f = reduction.source(n)
         budget.charge(f.count(0) + f.count(1))
-        for i, j, expected in f.defined_cells():
-            x, y = f.row_labels[i], f.col_labels[j]
-            got = int(reduction.decides_one(x, y))
-            checked += 1
-            if got != expected:
-                return VerificationReport(reduction.name, "FAIL", (1, n_max),
-                                          checked, (n, x, y, expected, got))
+        for i, (want, got) in enumerate(zip(f.rows, replay(f))):
+            if want == got:
+                checked += len(want) - want.count(UNDEF)
+                continue
+            for j, (expected, value) in enumerate(zip(want, got)):
+                if expected == UNDEF:
+                    continue
+                checked += 1
+                if expected != value:
+                    return VerificationReport(
+                        reduction.name, "FAIL", (1, n_max), checked,
+                        (n, f.row_labels[i], f.col_labels[j], int(expected), int(value)))
     return VerificationReport(reduction.name, "PASS", (1, n_max), checked, None)
+
+
+def _replayer(reduction):
+    """The replay of one length: source matrix -> one "0"/"1" string per
+    row, the reduction's decision at each column.  Lengths are asked for
+    in order 1, 2, ....  Rows and columns are indexed as
+    ``builtin_function`` labels them, by the n-bit numeral."""
+    if isinstance(reduction, AppendOnesReduction):
+        return lambda f: _scalar_rows(reduction, f)
+    if isinstance(reduction, PositionReduction):
+        levels = _position_levels(reduction)
+    else:
+        levels = _local_levels(reduction)
+    return lambda f: next(levels)
+
+
+def _scalar_rows(reduction, f: CommFunction) -> list[str]:
+    """``decides_one`` on every defined cell, ``UNDEF`` elsewhere: the
+    replay of a reduction with no target to fold."""
+    return ["".join(UNDEF if w == UNDEF else str(int(reduction.decides_one(x, y)))
+                    for y, w in zip(f.col_labels, want))
+            for x, want in zip(f.row_labels, f.rows)]
+
+
+def _verdict(reduction, action) -> tuple[str, ...]:
+    """"1" or "0" per state: the reduction's decision once the state has
+    gone through ``action``."""
+    inside, outside = ("1", "0") if reduction.polarity == ACCEPT_IS_ONE else ("0", "1")
+    accepting = reduction.target.accepting
+    return tuple(inside if s in accepting else outside for s in action)
+
+
+def _interleaved(alice, bob) -> list:
+    return [e for pair in zip(alice, bob) for e in pair]
+
+
+def _local_levels(r: LocalReduction):
+    """Replayed rows of a ``LocalReduction`` at n = 1, 2, ....
+
+    One left fold over the slots, shared by all pairs with a common bit
+    prefix: the state of (x, y) after n blocks, at row 2i + x_n and column
+    2j + y_n, is the state of the (n-1)-bit prefixes at (i, j) moved
+    through the block of (x_n, y_n).  Each length then reads its states
+    through the suffix and acceptance.
+    """
+    target = r.target
+    start = target.action(_interleaved(r.alice_prefix, r.bob_prefix))[target.start]
+    blocks = tuple(tuple(target.action(_interleaved(r.alice[x], r.bob[y]))
+                         for y in (0, 1)) for x in (0, 1))
+    verdict = _verdict(r, target.action(_interleaved(r.alice_suffix, r.bob_suffix)))
+    rows = [[start]]
+    while True:
+        rows = [_fold_row(row, blocks[x]) for row in rows for x in (0, 1)]
+        yield ["".join(map(verdict.__getitem__, row)) for row in rows]
+
+
+def _fold_row(row, maps) -> list[int]:
+    """Row of states moved through the blocks of y = 0 and y = 1: state j
+    goes to columns 2j and 2j + 1."""
+    folded = [0] * (2 * len(row))
+    folded[0::2] = map(maps[0].__getitem__, row)
+    folded[1::2] = map(maps[1].__getitem__, row)
+    return folded
+
+
+def _position_levels(r: PositionReduction):
+    """Replayed rows of a ``PositionReduction`` at n = 1, 2, ....
+
+    All 2^n x 2^n pairs are folded together through the 2^n positions:
+    at position i, row x takes Alice's ``a`` if x = i and the identity
+    otherwise, then column y takes Bob's ``b`` if y = i and the identity
+    otherwise.
+    """
+    target = r.target
+    e = target.start    # the identity: the start state and every unplanted slot
+    steps = tuple(tuple(target.action((a, b)) for b in (e, r.b)) for a in (e, r.a))
+    verdict = _verdict(r, target.action(()))
+    for n in itertools.count(1):
+        t = 1 << n
+        rows = [[e] * t for _ in range(t)]
+        for i in range(t):
+            for x, row in enumerate(rows):
+                rest, planted = steps[x == i]
+                folded = list(map(rest.__getitem__, row))
+                folded[i] = planted[row[i]]
+                rows[x] = folded
+        yield ["".join(map(verdict.__getitem__, row)) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +625,7 @@ def encode_monoid_as_language(om: OrderedMonoid, ideal: OrderIdeal,
         raise CcError("monoid is not the syntactic ordered monoid of the automaton")
     m = om.monoid
     n = m.size
+    products = m.table
     accepting = [x in check_ideal.members for x in range(n)]
 
     table = []
@@ -512,12 +635,13 @@ def encode_monoid_as_language(om: OrderedMonoid, ideal: OrderIdeal,
                 continue
             found = None
             for p in range(n):
-                for q in range(n):
-                    if accepting[m.product([p, t, q])] and \
-                            not accepting[m.product([p, s, q])]:
-                        found = (p, q)
-                        break
-                if found:
+                # rows p*t and p*s of the multiplication table: entry q is
+                # p*t*q, p*s*q
+                pt, ps = products[products[p][t]], products[products[p][s]]
+                q = next((q for q in range(n)
+                          if accepting[pt[q]] and not accepting[ps[q]]), None)
+                if q is not None:
+                    found = (p, q)
                     break
             if found is None:
                 raise CcError("order violation (%d,%d) has no context" % (s, t))
@@ -532,8 +656,8 @@ def encode_monoid_as_language(om: OrderedMonoid, ideal: OrderIdeal,
     members = set()
     for x in range(n):
         for i in ideal.generating:
-            if all(not accepting[m.product([p, i, q])] or
-                   accepting[m.product([p, x, q])]
+            if all(not accepting[products[products[p][i]][q]] or
+                   accepting[products[products[p][x]][q]]
                    for p, q in contexts):
                 members.add(x)
                 break

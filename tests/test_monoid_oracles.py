@@ -38,8 +38,8 @@ from regcc.classify import (
 from regcc.monoid import (
     FiniteMonoid, OrderedMonoid, StableOrder, _preimage_candidates,
     OrderIdeal, check_property, commutative_quotient, divides, division_map,
-    eval_term, eval_word, exponent, identity_counterexample, maximal_subgroups,
-    syntactic_ordered_monoid, transition_monoid,
+    eval_term, eval_word, exponent, identity_counterexample, ideal_generated,
+    maximal_subgroups, syntactic_ordered_monoid, transition_monoid,
 )
 
 
@@ -501,6 +501,26 @@ def random_monoids(seed, count, sizes, alphabet_size=None):
             continue
         if om.size >= sizes[0]:
             yield relabeled(om, rng)
+
+
+
+def test_ideal_generated_matches_its_definition():
+    # syntactic monoids hand their order array over; relabelled ones build
+    # it from the tuples
+    rng = random.Random(23)
+    monoids = [syntactic_ordered_monoid(d)[0]
+               for d in random_dfas(seed=23, count=20, states=(2, 5))]
+    monoids += list(random_monoids(seed=24, count=30, sizes=(2, 80)))
+    for om in monoids:
+        for _ in range(4):
+            gens = rng.sample(range(om.size), rng.randint(0, min(3, om.size)))
+            members = {x for x in range(om.size) if any(om.leq(x, g) for g in gens)}
+            maximal = sorted(x for x in members
+                             if not any(y != x and om.leq(x, y) for y in members))
+            ideal = ideal_generated(om, gens)
+            assert ideal.members == members
+            assert ideal.generating == tuple(maximal)
+            assert all(type(x) is int for x in ideal.members | set(ideal.generating))
 
 
 def test_divides_matches_product_oracle_beyond_twelve():

@@ -1,18 +1,23 @@
 import itertools
+import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from regcc import commcc
 from regcc.automata import EPSILON, CapError, CcError, Dfa, accepts, builtin_language
-from regcc.classify import builtin_monoid
-from regcc.monoid import eval_word, find_tq, syntactic_ordered_monoid
+from regcc.classify import BUILTIN_MONOID_NAMES, builtin_monoid
+from regcc.commcc import UNDEF
+from regcc.monoid import eval_word, find_tq, ideal_generated, syntactic_ordered_monoid
 from regcc.reductions import (
     ACCEPT_IS_ONE, ACCEPT_IS_ZERO, BUILTIN_REDUCTION_NAMES, LocalReduction,
-    builtin_reduction, encode_monoid_as_language, group_reduction,
-    lt_reduction, search_local_reduction_nonexistence, shuffle_reduction,
-    tq_reduction, verify_reduction,
+    MonoidTarget, VerificationReport, builtin_reduction,
+    encode_monoid_as_language, group_reduction, lt_reduction,
+    search_local_reduction_nonexistence, shuffle_reduction, tq_reduction,
+    verify_reduction,
 )
-from regcc.reductions import _matrix_dfs, _v_candidates
+from regcc.reductions import _matrix_dfs, _replayer, _v_candidates
 
 
 def flipped(r: LocalReduction) -> LocalReduction:
@@ -186,6 +191,140 @@ def test_reduction_descriptor_serialization():
     for name in ("ipq_to_group", "ipq_to_tq"):
         text = serialize_reduction(builtin_reduction(name))
         assert text.splitlines()[:2] == ["name: %s" % name, "source: IP_3"]
+
+
+
+# --- the fold against the per-pair replay ------------------------------------------
+
+def scalar_replay(reduction, n_max):
+    """The per-pair replay: every defined cell through ``decides_one`` in
+    row-major order, stopping at the first mismatch."""
+    checked = 0
+    for n in range(1, n_max + 1):
+        f = reduction.source(n)
+        for i, j, expected in f.defined_cells():
+            x, y = f.row_labels[i], f.col_labels[j]
+            got = int(reduction.decides_one(x, y))
+            checked += 1
+            if got != expected:
+                return VerificationReport(reduction.name, "FAIL", (1, n_max),
+                                          checked, (n, x, y, expected, got))
+    return VerificationReport(reduction.name, "PASS", (1, n_max), checked, None)
+
+
+def assert_fold_matches(reduction, n_max):
+    """The same report as the per-pair replay, and every replayed cell
+    (undefined ones too, where the replay fills them) is ``decides_one``."""
+    report = verify_reduction(reduction, n_max)
+    assert report == scalar_replay(reduction, n_max)
+    replay = _replayer(reduction)
+    for n in range(1, n_max + 1):
+        f = reduction.source(n)
+        for x, want, row in zip(f.row_labels, f.rows, replay(f)):
+            assert len(row) == len(want)
+            for y, w, got in zip(f.col_labels, want, row):
+                if got != UNDEF or w != UNDEF:
+                    assert got == str(int(reduction.decides_one(x, y)))
+    return report
+
+
+def seeded_monoids(seed, count):
+    """Syntactic ordered monoids of seeded random automata."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.randint(2, 4)
+        d = Dfa.make("ab", k, 0, {s for s in range(k) if rng.random() < 0.5},
+                     {a: [rng.randrange(k) for _ in range(k)] for a in "ab"})
+        yield syntactic_ordered_monoid(d)[0]
+
+
+def fold_test_monoids():
+    names = [name for name in BUILTIN_MONOID_NAMES if name != "TQ_EXAMPLE"]
+    return [builtin_monoid(name)[0] for name in names] + \
+        [builtin_monoid("TQ_EXAMPLE", q=3)[0]] + list(seeded_monoids(23, 12))
+
+
+def random_ideal(rng, om):
+    return ideal_generated(om, rng.sample(range(om.size), rng.randint(1, min(2, om.size))))
+
+
+SOURCES = (("PDISJ", None, None), ("IP", 2, None), ("IP", 3, None),
+           ("LT", None, None), ("DISJ", None, None),
+           ("PIP2", None, "TWO_SIDED"), ("PIP2", None, "ZERO_SIDED"))
+
+
+def random_local_reduction(rng, om):
+    def entries(k):
+        return tuple(rng.randrange(om.size) for _ in range(k))
+
+    s, prefix, suffix = rng.randint(1, 3), rng.randint(0, 2), rng.randint(0, 2)
+    source, q, variant = rng.choice(SOURCES)
+    return LocalReduction(
+        "random", source, (entries(s), entries(s)), (entries(s), entries(s)),
+        entries(prefix), entries(prefix), entries(suffix), entries(suffix),
+        MonoidTarget(om, random_ideal(rng, om)),
+        rng.choice((ACCEPT_IS_ONE, ACCEPT_IS_ZERO)), q, variant)
+
+
+def test_fold_matches_scalar_replay_on_random_reductions():
+    rng = random.Random(23)
+    lt = builtin_reduction("lt_to_noncommutative")
+    for om in fold_test_monoids():
+        for _ in range(6):
+            assert_fold_matches(random_local_reduction(rng, om), 3)
+        a, b = rng.randrange(om.size), rng.randrange(om.size)
+        polarity = rng.choice((ACCEPT_IS_ONE, ACCEPT_IS_ZERO))
+        assert_fold_matches(replace(lt, target=MonoidTarget(om, random_ideal(rng, om)),
+                                    polarity=polarity, a=a, b=b), 3)
+
+
+def test_fold_matches_scalar_replay_on_builtin_reductions():
+    for name in BUILTIN_REDUCTION_NAMES:
+        assert assert_fold_matches(builtin_reduction(name), 4).status == "PASS"
+    zero_sided = builtin_reduction("pip2_to_L5", variant="ZERO_SIDED")
+    assert assert_fold_matches(zero_sided, 4).counterexample == (1, "1", "0", 1, 0)
+    # the less-than reduction with its pair swapped plants b before a
+    om, _ = builtin_monoid("BA2_PLUS")
+    a, b = om.monoid.generator_map["a"], om.monoid.generator_map["b"]
+    assert assert_fold_matches(lt_reduction(om, b, a), 4).status == "PASS"
+
+
+def corrupted_builtins():
+    """Copies of the built-in reductions with one slot entry, plant or
+    source parameter changed."""
+    for name in ("ipq_to_group", "ipq_to_tq"):
+        r = builtin_reduction(name)
+        yield replace(r, source_q=2)          # IP_3 and IP_2 part at n = 2
+        yield replace(r, source_q=4)          # and IP_3 and IP_4 at n = 3
+    shuffle = builtin_reduction("pdisj_to_shuffle")
+    for z, k in itertools.product((0, 1), range(len(shuffle.alice[0]))):
+        for e in range(shuffle.target.om.size):
+            rows = [list(row) for row in shuffle.alice]
+            rows[z][k] = e
+            yield replace(shuffle, alice=tuple(map(tuple, rows)))
+    lt = builtin_reduction("lt_to_noncommutative")
+    for a, b in itertools.product(range(lt.target.om.size), repeat=2):
+        yield replace(lt, a=a, b=b)
+    pip2 = builtin_reduction("pip2_to_L5")
+    for side, z, k in itertools.product(("alice", "bob"), (0, 1), range(4)):
+        rows = [list(row) for row in getattr(pip2, side)]
+        if len(rows[0][k]) != 1 or len(rows[1][k]) != 1:
+            continue
+        for letter in ("a", "b", EPSILON):
+            rows[z][k] = letter
+            yield replace(pip2, **{side: tuple(map(tuple, rows))})
+    ipq = builtin_reduction("pdisj_to_ipq")
+    yield replace(ipq, polarity=ACCEPT_IS_ZERO)
+
+
+def test_corrupted_reductions_report_the_scalar_counterexample():
+    failed_at = Counter()
+    for r in corrupted_builtins():
+        report = assert_fold_matches(r, 4)
+        if report.status == "FAIL":
+            failed_at[report.counterexample[0]] += 1
+            assert report.serialize() == scalar_replay(r, 4).serialize()
+    assert set(failed_at) == {1, 2, 3}, failed_at
 
 
 # --- side conditions --------------------------------------------------------------
