@@ -5,6 +5,12 @@ Matrices are stored row-wise as strings over ``0``, ``1`` and ``*`` where
 wildcards inside rectangles: a z-monochromatic rectangle must avoid defined
 (1-z) cells only.
 
+Each built-in function is a regular language over the bit pairs of its
+inputs, read from the most significant bit by an automaton of at most four
+states (min(q, ``MATERIALIZE_CAP`` + 1) for IP_q).  ``_automaton`` turns it
+into byte translation tables, and ``_fold_rows`` moves all row and column
+prefixes through them one bit per level, so a build is linear in its cells.
+
 Exact solvers: minimum rectangle cover (branch and bound over maximal
 rectangles), minimum disjoint cover (on total functions the leaves of a
 rank-tight protocol tree, else one level search deepening from the rank
@@ -47,6 +53,7 @@ over original cells.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass, replace
@@ -192,31 +199,6 @@ class RectangleMeasure:
 # ---------------------------------------------------------------------------
 # built-in functions
 
-def _labels(n: int) -> tuple[str, ...]:
-    return tuple(format(x, "0%db" % n) for x in range(1 << n))
-
-
-def _row_strings_from_sets(n, fill, assignments):
-    """Build 2^n rows from {row -> {col: char}} sparse assignments."""
-    size = 1 << n
-    rows = []
-    for x in range(size):
-        row = bytearray(fill.encode() * size)
-        for y, ch in assignments(x):
-            row[y] = ord(ch)
-        rows.append(row.decode())
-    return tuple(rows)
-
-
-def _submasks(m: int):
-    s = m
-    while True:
-        yield s
-        if s == 0:
-            return
-        s = (s - 1) & m
-
-
 CC_FUNCTION_NAMES = ("EQ", "NEQ", "DISJ", "LT", "PDISJ", "IP", "PIP2")
 PIP2_VARIANTS = ("TWO_SIDED", "ZERO_SIDED")
 
@@ -225,89 +207,96 @@ def builtin_function(name: str, n: int, q: int | None = None,
                      variant: str = "TWO_SIDED") -> CommFunction:
     """Materialize a named two-party function on n-bit inputs.
 
-    PIP2 (promise inner product mod 2) ships in two variants that differ
-    in the orientation of the per-position prefix conditions and in which
-    outputs carry the promise.  TWO_SIDED promises every input, requiring
-    at each mixed position (0,1) an even and (1,0) an odd count of earlier
-    common ones; it is the variant under which the block reduction to the
+    Each function is a regular language over bit pairs: an automaton reads
+    (x_k, y_k) from the most significant bit and its final state gives the
+    cell.  EQ and NEQ track whether a pair has differed, DISJ whether a
+    common one has appeared, LT whether x or y first took the larger bit,
+    PDISJ the count of common ones up to 2 (two or more is undefined), and
+    IP_q that count modulo q.  No input has more than n <=
+    ``MATERIALIZE_CAP`` common ones, so IP_q needs at most
+    ``MATERIALIZE_CAP`` + 1 states whatever q is.
+
+    PIP2 (promise inner product mod 2) tracks the parity of common ones
+    and whether the promise still holds.  Its two variants differ in the
+    orientation of the per-position prefix conditions and in which outputs
+    carry the promise.  TWO_SIDED promises every input, requiring at each
+    mixed position (0,1) an even and (1,0) an odd count of earlier common
+    ones; it is the variant under which the block reduction to the
     five-state language verifies exhaustively.  ZERO_SIDED keeps the
     opposite orientation and restricts only the 0-inputs; the same block
     reduction demonstrably fails against it.
     """
     if not (1 <= n <= MATERIALIZE_CAP):
         raise CapError("n=%d outside materialization range 1..%d" % (n, MATERIALIZE_CAP))
-    size = 1 << n
-    labels = _labels(n)
-    full = (1 << n) - 1
-
-    if name == "EQ":
-        rows = tuple("0" * x + "1" + "0" * (size - x - 1) for x in range(size))
-    elif name == "NEQ":
-        rows = tuple("1" * x + "0" + "1" * (size - x - 1) for x in range(size))
-    elif name == "LT":
-        rows = tuple("0" * x + "1" * (size - x) for x in range(size))
-    elif name == "DISJ":
-        rows = _row_strings_from_sets(
-            n, "0", lambda x: ((y, "1") for y in _submasks(full & ~x)))
-    elif name == "PDISJ":
-        def cells(x):
-            rest = full & ~x
-            for s in _submasks(rest):
-                yield s, "1"
-            for k in range(n):
-                if x >> k & 1:
-                    for s in _submasks(rest):
-                        yield s | (1 << k), "0"
-        rows = _row_strings_from_sets(n, UNDEF, cells)
-    elif name == "IP":
+    params = [("n", n)]
+    if name == "IP":
         if q is None or q < 2:
             raise CcError("IP requires q >= 2")
-        rows = tuple(
-            "".join("1" if (x & y).bit_count() % q == 0 else "0"
-                    for y in range(size))
-            for x in range(size))
+        params.append(("q", q))
     elif name == "PIP2":
         if variant not in PIP2_VARIANTS:
             raise CcError("unknown PIP2 variant %r" % variant)
-        rows = tuple("".join(_pip2_cell(labels[x], labels[y], variant)
-                             for y in range(size)) for x in range(size))
-    else:
-        raise CcError("unknown built-in function %r" % name)
-
-    params = [("n", n)]
-    if name == "IP":
-        params.append(("q", q))
-        name = "IP_%d" % q
-    if name == "PIP2":
         params.append(("variant", variant))
-    return CommFunction(name, labels, labels, rows, tuple(params))
+    elif name not in CC_FUNCTION_NAMES:
+        raise CcError("unknown built-in function %r" % name)
+    rows = _fold_rows(*_automaton(name, q if name == "IP" else None,
+                                  variant if name == "PIP2" else None), n)
+    labels = tuple(format(x, "0%db" % n) for x in range(1 << n))
+    return CommFunction("IP_%d" % q if name == "IP" else name, labels, labels,
+                        rows, tuple(params))
 
 
-def _pip2_cell(xs: str, ys: str, variant: str) -> str:
-    inter = sum(a == b == "1" for a, b in zip(xs, ys))
-    value = "1" if inter % 2 == 0 else "0"
-    prefix_even = True  # IP2 of the empty prefix is 1
-    promised = True
-    for a, b in zip(xs, ys):
-        if variant == "ZERO_SIDED":
-            # (0,1) wants an odd earlier count, (1,0) an even one
-            if a == "0" and b == "1" and prefix_even:
-                promised = False
-            if a == "1" and b == "0" and not prefix_even:
-                promised = False
-        else:
-            # (0,1) wants an even earlier count, (1,0) an odd one
-            if a == "0" and b == "1" and not prefix_even:
-                promised = False
-            if a == "1" and b == "0" and prefix_even:
-                promised = False
-        if a == b == "1":
-            prefix_even = not prefix_even
-    if variant == "ZERO_SIDED":
-        if value == "1":
-            return "1"
-        return "0" if promised else UNDEF
-    return value if promised else UNDEF
+@functools.cache
+def _automaton(name, q, variant):
+    """Translation tables of a built-in's bit-pair automaton:
+    ``tables[a][b]`` maps each state byte to its successor on (a, b), and
+    ``final`` maps each state to its cell character.  State 0 starts."""
+    if name in ("EQ", "NEQ"):     # 1: the pairs have differed
+        states, step = 2, lambda s, a, b: s | (a != b)
+        verdict = "10" if name == "EQ" else "01"
+    elif name == "DISJ":          # 1: a common one
+        states, step, verdict = 2, lambda s, a, b: s | (a & b), "10"
+    elif name == "LT":            # 0: equal so far, 1: x < y, 2: x > y
+        states, step, verdict = 3, lambda s, a, b: s or (b - a) % 3, "110"
+    elif name == "PDISJ":         # common ones, up to 2
+        states, step, verdict = 3, lambda s, a, b: min(s + (a & b), 2), "10*"
+    elif name == "IP":
+        # common ones mod q; no input has more than MATERIALIZE_CAP of them,
+        # so the count may stop where none reaches
+        states = min(q, MATERIALIZE_CAP + 1)
+        step = lambda s, a, b: min((s + (a & b)) % q, states - 1)
+        verdict = "1" + "0" * (states - 1)
+    else:
+        # bit 0: parity of common ones; bit 1: the promise is broken, at a
+        # mixed position whose earlier parity the variant forbids
+        states, mixed = 4, int(variant == "TWO_SIDED")
+
+        def step(s, a, b):
+            broken = a != b and (s & 1 == 0) == (a == mixed)
+            return (s & 1 ^ a & b) | s & 2 | broken << 1
+        verdict = "10**" if variant == "TWO_SIDED" else "101*"
+    tables = tuple(tuple(bytes(step(s, a, b) for s in range(states)).ljust(256, b"\0")
+                         for b in (0, 1)) for a in (0, 1))
+    return tables, verdict.encode().ljust(256, b"0")
+
+
+def _fold_rows(tables, final, n):
+    """The 2^n row strings of an automaton.  Row i, column j of one level
+    holds, as a byte, the state after the bit prefixes i and j; the next
+    level moves it through the tables of (x-bit, 0) and (x-bit, 1) into row
+    2i + x-bit at columns 2j and 2j + 1.  The last level is read through
+    ``final``."""
+    rows = [b"\0"]
+    for _ in range(n):
+        level = []
+        for row in rows:
+            for through in tables:
+                out = bytearray(2 * len(row))
+                out[0::2] = row.translate(through[0])
+                out[1::2] = row.translate(through[1])
+                level.append(out)
+        rows = level
+    return tuple(row.translate(final).decode() for row in rows)
 
 
 # ---------------------------------------------------------------------------

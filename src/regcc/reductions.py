@@ -333,25 +333,18 @@ def _fold_row(row, maps) -> list[int]:
 def _position_levels(r: PositionReduction):
     """Replayed rows of a ``PositionReduction`` at n = 1, 2, ....
 
-    All 2^n x 2^n pairs are folded together through the 2^n positions:
-    at position i, row x takes Alice's ``a`` if x = i and the identity
-    otherwise, then column y takes Bob's ``b`` if y = i and the identity
-    otherwise.
+    Every slot but the two planted ones holds the identity, so the
+    instance of (x, y) acts as ``a`` then ``b`` when x <= y (at a shared
+    position Alice's slot comes first), and as ``b`` then ``a`` otherwise:
+    row x is the verdict of ``b a`` on its first x columns and that of
+    ``a b`` on the rest.
     """
     target = r.target
-    e = target.start    # the identity: the start state and every unplanted slot
-    steps = tuple(tuple(target.action((a, b)) for b in (e, r.b)) for a in (e, r.a))
-    verdict = _verdict(r, target.action(()))
+    v_ab, v_ba = _verdict(r, (target.action((r.a, r.b))[target.start],
+                              target.action((r.b, r.a))[target.start]))
     for n in itertools.count(1):
         t = 1 << n
-        rows = [[e] * t for _ in range(t)]
-        for i in range(t):
-            for x, row in enumerate(rows):
-                rest, planted = steps[x == i]
-                folded = list(map(rest.__getitem__, row))
-                folded[i] = planted[row[i]]
-                rows[x] = folded
-        yield ["".join(map(verdict.__getitem__, row)) for row in rows]
+        yield [v_ba * x + v_ab * (t - x) for x in range(t)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from regcc import commcc
 from regcc.automata import CapError, CcError, builtin_language
 from regcc.commcc import (
-    CommFunction, Cover, ProtocolNode, Rectangle, RectangleMeasure,
+    UNDEF, CommFunction, Cover, ProtocolNode, Rectangle, RectangleMeasure,
     builtin_function, exact_deterministic_cc, format_indices,
     language_problem, language_problem_partition, max_fooling_set,
     max_rectangle_measure, min_cover, min_disjoint_cover, monochromatic_color,
@@ -368,6 +368,56 @@ def test_pip2_variants_differ():
             assert v == ip.value(i, j)
     with pytest.raises(CcError):
         builtin_function("PIP2", 2, variant="WHAT")
+
+
+def _pip2_promised(xs, ys, variant):
+    """The prefix conditions at mixed positions, scanned from the most
+    significant bit: TWO_SIDED wants an even count of earlier common ones
+    at (0,1) and an odd one at (1,0); ZERO_SIDED wants the opposite."""
+    even = True
+    for a, b in zip(xs, ys):
+        if a != b and even != ((a == "0") == (variant == "TWO_SIDED")):
+            return False
+        if a == b == "1":
+            even = not even
+    return True
+
+
+def defined_cell(name, xs, ys, q=None, variant=None):
+    x, y = int(xs, 2), int(ys, 2)
+    common = (x & y).bit_count()
+    if name == "EQ":
+        return "1" if x == y else "0"
+    if name == "NEQ":
+        return "0" if x == y else "1"
+    if name == "LT":
+        return "1" if x <= y else "0"
+    if name == "DISJ":
+        return "1" if common == 0 else "0"
+    if name == "PDISJ":
+        return "1" if common == 0 else "0" if common == 1 else UNDEF
+    if name == "IP":
+        return "1" if common % q == 0 else "0"
+    value = "1" if common % 2 == 0 else "0"
+    if value == "1" and variant == "ZERO_SIDED" or _pip2_promised(xs, ys, variant):
+        return value
+    return UNDEF
+
+
+def test_builtin_functions_match_their_definitions():
+    # q = 300 and 10^9 have more residues than a state byte holds
+    kwargs = [("IP", {"q": q}) for q in (2, 3, 5, 13, 300, 10 ** 9)]
+    kwargs += [("PIP2", {"variant": v}) for v in commcc.PIP2_VARIANTS]
+    kwargs += [(name, {}) for name in ("EQ", "NEQ", "DISJ", "LT", "PDISJ")]
+    for name, kw in kwargs:
+        for n in range(1, 7):
+            f = builtin_function(name, n, **kw)
+            labels = tuple(format(x, "0%db" % n) for x in range(1 << n))
+            assert (f.row_labels, f.col_labels) == (labels, labels)
+            assert f.rows == tuple("".join(defined_cell(name, xs, ys, **kw) for ys in labels)
+                                   for xs in labels), (name, kw, n)
+            assert f.name == ("IP_%d" % kw["q"] if name == "IP" else name)
+            assert f.params == (("n", n),) + tuple(kw.items())
 
 
 def test_materialization_cap():

@@ -145,6 +145,16 @@ def test_verify_lt():
     assert verify_reduction(builtin_reduction("lt_to_noncommutative"), 3).status == "PASS"
 
 
+def test_verify_lt_replays_every_length_up_to_the_work_cap():
+    # 4 + 16 + ... + 4^11 = 5 592 404 cells fit under WORK_CAP; n = 12's
+    # 4^12 more do not
+    r = builtin_reduction("lt_to_noncommutative")
+    rep = verify_reduction(r, 11)
+    assert (rep.status, rep.checked_pairs) == ("PASS", 5_592_404)
+    with pytest.raises(CapError, match="verify"):
+        verify_reduction(r, 12)
+
+
 def test_verify_pip2_two_sided():
     r = builtin_reduction("pip2_to_L5", variant="TWO_SIDED")
     assert r.polarity == ACCEPT_IS_ZERO
