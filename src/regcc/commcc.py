@@ -1083,6 +1083,56 @@ def _shallow_depth(masks, rows, cols):
     return 2 if mixed_row and any0 & any1 else 1
 
 
+def _group_summaries(keys, group_masks, across, weigh):
+    """Each group of equal rows (columns), its cells ``keys[g]`` read along
+    the indices ``across``, as (mask, 0-mask, 1-mask, mixed, rows): the
+    indices where it holds 0 and 1, whether it holds both, and its size
+    when ``weigh`` (rows), else 0 (columns)."""
+    out = []
+    for key, mask in zip(keys, group_masks):
+        x0 = x1 = 0
+        for i, v in zip(across, key):
+            if v == 0:
+                x0 |= 1 << i
+            elif v == 1:
+                x1 |= 1 << i
+        out.append((mask, x0, x1, bool(x0 and x1), mask.bit_count() if weigh else 0))
+    return out
+
+
+def _half_table(start, groups):
+    """``start`` extended by every split of ``groups`` into parts a and b,
+    in binary counting order (bit k puts group k in part a), as in
+    ``_split_tables``."""
+    table = [start]
+    for mask, x0, x1, mixed, n in groups:
+        table = [(pa, xa, ya, fa, xb | x0, yb | x1, fb or mixed, na, nb + n)
+                 for pa, xa, ya, fa, xb, yb, fb, na, nb in table] + \
+                [(pa | mask, xa | x0, ya | x1, fa or mixed, xb, yb, fb, na + n, nb)
+                 for pa, xa, ya, fa, xb, yb, fb, na, nb in table]
+    return table
+
+
+def _split_tables(groups, bits):
+    """Half tables of the splits of ``groups``, summaries (mask, 0-mask,
+    1-mask, mixed, rows) in order, whose picks fit in ``bits`` bits.  Part
+    a holds group 0, and pick p puts group k + 1 in part a when bit k of p
+    is set; the groups past ``bits`` stay in part b.  Returns (low, high),
+    over the low bits // 2 bits of a pick and the rest: pick p's summary
+    (mask a, 0-mask a, 1-mask a, mixed a, 0-mask b, 1-mask b, mixed b,
+    rows a, rows b) is low[p % len(low)] and high[p // len(low)] combined,
+    masks and flags ORed and rows added."""
+    h = bits // 2
+    mask_a, zeros_a, ones_a, mixed_a, n_a = groups[0]
+    zeros_b = ones_b = n_b = 0
+    mixed_b = False
+    for _, x0, x1, mixed, n in groups[bits + 1:]:
+        zeros_b, ones_b, mixed_b, n_b = zeros_b | x0, ones_b | x1, mixed_b or mixed, n_b + n
+    start = (mask_a, zeros_a, ones_a, mixed_a, zeros_b, ones_b, mixed_b, n_a, n_b)
+    return (_half_table((0, 0, 0, False, 0, 0, False, 0, 0), groups[1:h + 1]),
+            _half_table(start, groups[h + 1:bits + 1]))
+
+
 def exact_deterministic_cc(f: CommFunction):
     """Minimum worst-case bits of a deterministic protocol, with an optimal
     protocol tree.  Recursion: a rectangle costs 0 if monochromatic
@@ -1113,15 +1163,24 @@ def exact_deterministic_cc(f: CommFunction):
     and reuses an inexact bound for any limit it reaches.  The tree walk
     has no limit, so each node's split is the rule's.
 
-    The bottom two levels have a closed form, so a call with limit <= 2
+    The bottom two levels have a closed form, so a query with limit <= 2
     takes no canonical form, memo entry or split: depth 0 when at most one
     defined color occurs, else 1 when no row or no column holds both, else
     at least 2.  Undefined cells side with either color, so the rows split
     into two monochromatic parts exactly when each row is monochromatic.
+    A split search makes such queries once its best depth is at most 3,
+    and answers them itself: each group of equal rows (columns) is
+    summarised once along the other side by its 0-mask, its 1-mask and
+    whether it holds both, and a part, ORing its groups' summaries into X,
+    Y and F, has depth 0 unless X and Y are both nonempty, else 2 when F
+    holds and X & Y is nonempty, else 1.  Two half tables, over the low
+    half of a pick's bits and the rest, give each pick's parts and their
+    summaries in two lookups.
 
     Raises CapError past WORK_CAP units: per r x c rectangle of the
     matrix with equal rows and columns merged, r per closed-form query,
-    r*c per canonical form on a cache miss and per split search, then
+    r*c per canonical form on a cache miss (the whole matrix's charged
+    before any table of its cells is built) and per split search, then
     4*r*c*min(r, c) per rank or 2*r*c per fooling set, and the group count
     per split tried."""
     return _protocol_tree(*_merged(f))[:2]
@@ -1134,12 +1193,15 @@ def _protocol_tree(row_groups, col_groups, masks):
     together, and merged columns keep the order of their first original
     column, so the tree is the one the rule gives on the original matrix."""
     nr, nc = len(row_groups), len(col_groups)
+    budget = _Budget("protocol-depth")
+    # the root's canonical form, charged as solve would but before the
+    # tables below, so that a matrix past the cap builds none of them
+    budget.charge(nr * nc)
     # base[r][c]: the merged cell as -1 (undefined), 0 or 1
     base = [tuple(0 if zeros >> c & 1 else 1 if ones >> c & 1 else -1 for c in range(nc))
             for zeros, ones in zip(*masks)]
     memo = {}  # canonical content -> [depth or lower bound, exact]
     by_rect = {}  # rows mask << nc | cols mask -> its memo entry
-    budget = _Budget("protocol-depth")
     no_limit = 10 ** 9
 
     def colors(row_idx, cols):
@@ -1178,42 +1240,74 @@ def _protocol_tree(row_groups, col_groups, masks):
             return lb, None
         best, split = limit, None
         for side in ("rows", "cols"):
+            # a part's closed-form query charges its row count: fixed plus
+            # the sizes of its row groups
+            if side == "rows":
+                whole, across, fixed = rows, col_idx, 0
+            else:
+                whole, across, fixed = cols, row_idx, r
             groups = {}
             for x in (row_idx if side == "rows" else col_idx):
                 key = tuple(base[x][j] for j in col_idx) if side == "rows" \
                     else tuple(base[i][x] for i in row_idx)
                 groups[key] = groups.get(key, 0) | 1 << x
-            group_masks = [groups[key] for key in sorted(groups)]
+            keys = sorted(groups)
+            group_masks = [groups[key] for key in keys]
             count = len(group_masks)
+            low = None
             # part_a holds group 0; every proper complement appears once
             for pick in range((1 << (count - 1)) - 1):
-                budget.charge(count)
-                part_a, part_b = group_masks[0], 0
-                for k in range(1, count):
-                    if pick >> (k - 1) & 1:
-                        part_a |= group_masks[k]
-                    else:
-                        part_b |= group_masks[k]
-                if side == "rows":
-                    parts = ((part_a, cols), (part_b, cols))
+                if best > 3:
+                    budget.charge(count)
+                    part_a = group_masks[0]
+                    for k in range(1, count):
+                        if pick >> (k - 1) & 1:
+                            part_a |= group_masks[k]
+                    parts = ((part_a, cols), (whole ^ part_a, cols)) if side == "rows" \
+                        else ((rows, part_a), (rows, whole ^ part_a))
+                    d1 = solve(*parts[0], best - 1)
+                    if d1 + 1 >= best:
+                        continue
+                    d = 1 + max(d1, solve(*parts[1], best - 1))
+                    if d >= best:
+                        continue
                 else:
-                    parts = ((rows, part_a), (rows, part_b))
-                d1 = solve(*parts[0], best - 1)
-                if d1 + 1 >= best:
-                    continue
-                d = 1 + max(d1, solve(*parts[1], best - 1))
-                if d < best:
-                    best, split = d, (side, parts)
-                    if best <= lb:
-                        return best, split
+                    if low is None:
+                        # every later child is a closed-form query, read off
+                        # two half tables.  A pick charges count first, so
+                        # picks from pick + (cap - spent) // count on raise:
+                        # the tables need cover only the bits below them
+                        bits = min(count - 1, (pick + (budget.cap - budget.spent) // count)
+                                   .bit_length())
+                        low, high = _split_tables(
+                            _group_summaries(keys, group_masks, across, side == "rows"), bits)
+                        h = bits // 2
+                        low_bits = (1 << h) - 1
+                    pa_l, xa_l, ya_l, fa_l, xb_l, yb_l, fb_l, na_l, nb_l = low[pick & low_bits]
+                    pa_h, xa_h, ya_h, fa_h, xb_h, yb_h, fb_h, na_h, nb_h = high[pick >> h]
+                    # _shallow_depth of each part, read off the summaries
+                    budget.charge(count + fixed + na_h + na_l)
+                    x0, x1 = xa_h | xa_l, ya_h | ya_l
+                    d1 = 0 if not (x0 and x1) else 2 if (fa_h or fa_l) and x0 & x1 else 1
+                    if d1 + 1 >= best:
+                        continue
+                    budget.charge(fixed + nb_h + nb_l)
+                    x0, x1 = xb_h | xb_l, yb_h | yb_l
+                    d = 1 + max(d1, 0 if not (x0 and x1)
+                                else 2 if (fb_h or fb_l) and x0 & x1 else 1)
+                    if d >= best:
+                        continue
+                    part_a = pa_h | pa_l
+                    parts = ((part_a, cols), (whole ^ part_a, cols)) if side == "rows" \
+                        else ((rows, part_a), (rows, whole ^ part_a))
+                best, split = d, (side, parts)
+                if best <= lb:
+                    return best, split
         return best, split
 
     def solve(rows, cols, limit=no_limit):
-        """best_split's depth or bound, memoized by canonical content; below
-        limit 3, the closed form of ``_shallow_depth``."""
-        if limit <= 2:
-            budget.charge(rows.bit_count())
-            return _shallow_depth(masks, rows, cols)
+        """best_split's depth or bound, memoized by canonical content, for a
+        limit of at least 3; best_split answers lower limits itself."""
         rect = rows << nc | cols
         entry = by_rect.get(rect)
         if entry is None:
@@ -1239,6 +1333,7 @@ def _protocol_tree(row_groups, col_groups, masks):
                             children=tuple(walk(*part) for part in parts))
 
     full_rows, full_cols = (1 << nr) - 1, (1 << nc) - 1
+    by_rect[full_rows << nc | full_cols] = memo.setdefault(canon(range(nr), range(nc)), [0, False])
     return solve(full_rows, full_cols), walk(full_rows, full_cols), leaves
 
 

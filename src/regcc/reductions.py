@@ -10,6 +10,7 @@ construction naturally hits the complement.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from collections import Counter
@@ -98,6 +99,13 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
+@functools.lru_cache
+def _source(name: str, n: int, q: int | None, variant: str | None) -> CommFunction:
+    """``builtin_function``, cached: every replay of a certificate asks for
+    the same few sources, and a ``CommFunction`` is frozen."""
+    return builtin_function(name, n, q=q, variant=variant)
+
+
 @dataclass(frozen=True)
 class LocalReduction:
     """Per-bit 2 x 2s slot matrix plus prefix/suffix slots.
@@ -134,8 +142,7 @@ class LocalReduction:
                     raise CcError("slot %d entries have unequal padded length" % k)
 
     def source(self, n: int) -> CommFunction:
-        return builtin_function(self.source_name, n, q=self.source_q,
-                                variant=self.source_variant)
+        return _source(self.source_name, n, self.source_q, self.source_variant)
 
     def apply(self, x_bits: str, y_bits: str):
         """Interleaved target instance for one input pair."""
@@ -168,7 +175,7 @@ class RectangularReduction:
     source_q: int | None = None
 
     def source(self, n: int) -> CommFunction:
-        return builtin_function(self.source_name, n, q=self.source_q, variant=None)
+        return _source(self.source_name, n, self.source_q, None)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import operator
 from fractions import Fraction
 from unittest import mock
 
@@ -21,7 +22,7 @@ from regcc.commcc import (
 from regcc.commcc import (
     _batch_ranks, _cells, _closed_rectangles, _completion_ranks, _concepts,
     _greedy_blocked_fooling, _greedy_fooling, _mask_to_indices, _merged, _rank_q,
-    _shallow_depth, _undominated,
+    _shallow_depth, _split_tables, _undominated,
 )
 from regcc.monoid import (
     FiniteMonoid, OrderedMonoid, ideal_generated, syntactic_ordered_monoid,
@@ -1156,6 +1157,232 @@ def test_shallow_depth_keeps_the_depth_search_small(monkeypatch):
     monkeypatch.setattr(commcc, "WORK_CAP", 20_000)
     f = builtin_function("PIP2", 3, variant="TWO_SIDED")
     assert exact_deterministic_cc(f)[0] == 3
+
+
+def reference_protocol_tree(row_groups, col_groups, masks):
+    """Reference for ``commcc._protocol_tree``: the same search with every
+    child of a split answered by a ``solve`` call, closed-form depths
+    included, and each pick's parts built group by group."""
+    nr, nc = len(row_groups), len(col_groups)
+    # base[r][c]: the merged cell as -1 (undefined), 0 or 1
+    base = [tuple(0 if zeros >> c & 1 else 1 if ones >> c & 1 else -1 for c in range(nc))
+            for zeros, ones in zip(*masks)]
+    memo = {}  # canonical content -> [depth or lower bound, exact]
+    by_rect = {}  # rows mask << nc | cols mask -> its memo entry
+    budget = commcc._Budget("protocol-depth")
+    no_limit = 10 ** 9
+
+    def colors(row_idx, cols):
+        return [z for z in (0, 1) if any(masks[z][i] & cols for i in row_idx)]
+
+    def canon(row_idx, col_idx):
+        rows = tuple(sorted({tuple(base[i][j] for j in col_idx) for i in row_idx}))
+        for _ in range(4):
+            cols = tuple(sorted(set(zip(*rows))))
+            rows2 = tuple(sorted(set(zip(*cols))))
+            if rows2 == rows:
+                break
+            rows = rows2
+        return rows
+
+    def best_split(rows, cols, limit=no_limit):
+        """(depth, split) of rows x cols over row and column masks: the
+        depth when it is below ``limit``, else a lower bound of at least
+        ``limit``.  split is None at a leaf or past the limit, else (side,
+        (part_a, part_b)), the first split in the rule's order that reaches
+        the depth."""
+        row_idx, col_idx = _mask_to_indices(rows), _mask_to_indices(cols)
+        r, c = len(row_idx), len(col_idx)
+        budget.charge(r * c)
+        if not commcc._shallow_depth(masks, rows, cols):
+            return 0, None
+        if any(cols & ~(masks[0][i] | masks[1][i]) for i in row_idx):
+            budget.charge(2 * r * c)
+            leaves = sum(map(len, commcc._greedy_fooling(masks, row_idx, cols)))
+        else:
+            budget.charge(4 * r * c * min(r, c))
+            leaves = sum(commcc._rank_q([[base[i][j] == z for j in col_idx] for i in row_idx])
+                         for z in (0, 1))
+        lb = max(1, commcc._log2ceil(leaves))
+        if lb >= limit:
+            return lb, None
+        best, split = limit, None
+        for side in ("rows", "cols"):
+            groups = {}
+            for x in (row_idx if side == "rows" else col_idx):
+                key = tuple(base[x][j] for j in col_idx) if side == "rows" \
+                    else tuple(base[i][x] for i in row_idx)
+                groups[key] = groups.get(key, 0) | 1 << x
+            group_masks = [groups[key] for key in sorted(groups)]
+            count = len(group_masks)
+            # part_a holds group 0; every proper complement appears once
+            for pick in range((1 << (count - 1)) - 1):
+                budget.charge(count)
+                part_a, part_b = group_masks[0], 0
+                for k in range(1, count):
+                    if pick >> (k - 1) & 1:
+                        part_a |= group_masks[k]
+                    else:
+                        part_b |= group_masks[k]
+                if side == "rows":
+                    parts = ((part_a, cols), (part_b, cols))
+                else:
+                    parts = ((rows, part_a), (rows, part_b))
+                d1 = solve(*parts[0], best - 1)
+                if d1 + 1 >= best:
+                    continue
+                d = 1 + max(d1, solve(*parts[1], best - 1))
+                if d < best:
+                    best, split = d, (side, parts)
+                    if best <= lb:
+                        return best, split
+        return best, split
+
+    def solve(rows, cols, limit=no_limit):
+        """best_split's depth or bound, memoized by canonical content; below
+        limit 3, the closed form of ``_shallow_depth``."""
+        if limit <= 2:
+            budget.charge(rows.bit_count())
+            return commcc._shallow_depth(masks, rows, cols)
+        rect = rows << nc | cols
+        entry = by_rect.get(rect)
+        if entry is None:
+            budget.charge(rows.bit_count() * cols.bit_count())
+            key = canon(_mask_to_indices(rows), _mask_to_indices(cols))
+            entry = by_rect[rect] = memo.setdefault(key, [0, False])
+        if not entry[1] and entry[0] < limit:
+            d = best_split(rows, cols, limit)[0]
+            entry[:] = d, d < limit
+        return entry[0]
+
+    leaves = []
+
+    def walk(rows, cols):
+        row_idx, col_idx = commcc._expand(row_groups, rows), commcc._expand(col_groups, cols)
+        _, split = best_split(rows, cols)
+        if split is None:
+            leaves.append((rows, cols))
+            return ProtocolNode(row_idx, col_idx,
+                                color=min(colors(_mask_to_indices(rows), cols)))
+        side, parts = split
+        return ProtocolNode(row_idx, col_idx, split=side,
+                            children=tuple(walk(*part) for part in parts))
+
+    full_rows, full_cols = (1 << nr) - 1, (1 << nc) - 1
+    return solve(full_rows, full_cols), walk(full_rows, full_cols), leaves
+
+
+def spent_by(search, *args):
+    """search(*args) and the units its depth meter spent."""
+    budgets = []
+
+    class Recorded(commcc._Budget):
+        def __init__(self, *a, **k):
+            super().__init__(*a, **k)
+            budgets.append(self)
+
+    with mock.patch.object(commcc, "_Budget", Recorded):
+        out = search(*args)
+    return out, budgets[-1].spent
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(matrices("01*", 8, 8))
+def test_split_tables_match_a_solve_call_per_pick(rows):
+    # the closed-form depths read off the per-group half tables give the
+    # tree, leaves and units of a search that calls solve for every child,
+    # and, on a meter capped at those units, the same answer; one unit less
+    # refuses, on the search whose tables then cover only the picks the
+    # meter allows
+    merged = _merged(as_function(rows))
+    want, units = spent_by(reference_protocol_tree, *merged)
+    assert spent_by(commcc._protocol_tree, *merged) == (want, units)
+    with mock.patch.object(commcc, "WORK_CAP", units):
+        assert commcc._protocol_tree(*merged) == want
+    with mock.patch.object(commcc, "WORK_CAP", units - 1):
+        with pytest.raises(CapError):
+            commcc._protocol_tree(*merged)
+    if len(rows) * len(rows[0]) <= 25:
+        f = as_function(rows)
+        everything = (tuple(range(f.n_rows)), tuple(range(f.n_cols)))
+        assert want[:2] == rule_protocol_tree(f, *everything)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63), st.booleans(),
+                          st.integers(0, 9)), min_size=1, max_size=9), st.data())
+def test_split_tables_summarise_every_pick(groups, data):
+    # the two half tables give each pick below 2^bits, with the groups
+    # past bits in part b (whose mask the search takes as a complement)
+    groups = [(1 << k, x0, x1, mixed, n) for k, (x0, x1, mixed, n) in enumerate(groups)]
+    bits = data.draw(st.integers(0, len(groups) - 1))
+    low, high = _split_tables(groups, bits)
+    got, want = [], []
+    for pick in range(min(1 << bits, (1 << (len(groups) - 1)) - 1)):
+        entry_l, entry_h = low[pick % len(low)], high[pick // len(low)]
+        got.append(tuple(x | y for x, y in zip(entry_l[:7], entry_h[:7]))
+                   + (entry_l[7] + entry_h[7], entry_l[8] + entry_h[8]))
+        parts = ([], [])
+        for k, group in enumerate(groups):
+            parts[k > 0 and not (k <= bits and pick >> (k - 1) & 1)].append(group)
+        a, b = ([functools.reduce(operator.or_, (g[i] for g in part), 0) for i in range(4)]
+                + [sum(g[4] for g in part)] for part in parts)
+        want.append((a[0], a[1], a[2], a[3], b[1], b[2], b[3], a[4], b[4]))
+    assert got == want
+
+
+@pytest.mark.parametrize("name, n, kwargs, units", [
+    ("PDISJ", 3, {}, 358_116),
+    ("PIP2", 3, {"variant": "TWO_SIDED"}, 16_706),
+    ("PIP2", 3, {"variant": "ZERO_SIDED"}, 404_139),
+    ("DISJ", 4, {}, 1_439_209),
+    ("IP", 4, {"q": 2}, 301_670),
+])
+def test_depth_search_units_are_pinned(name, n, kwargs, units):
+    f = builtin_function(name, n, **kwargs)
+    merged = _merged(f)
+    want = spent_by(reference_protocol_tree, *merged)
+    assert spent_by(exact_deterministic_cc, f) == (want[0][:2], units)
+    assert want[1] == units
+
+
+@pytest.mark.parametrize("name, kwargs", [
+    ("PDISJ", {}), ("PIP2", {"variant": "ZERO_SIDED"}), ("DISJ", {}),
+])
+def test_depth_search_refuses_below_its_units(name, kwargs, monkeypatch):
+    # a split's tables cover only the picks the meter has left; a pick
+    # past them must never be reached, so every cap below the units a
+    # search spends refuses it, and that many answer
+    f = builtin_function(name, 2, **kwargs)
+    want, units = spent_by(exact_deterministic_cc, f)
+    for cap in range(units):
+        monkeypatch.setattr(commcc, "WORK_CAP", cap)
+        with pytest.raises(CapError, match="protocol-depth"):
+            exact_deterministic_cc(f)
+    monkeypatch.setattr(commcc, "WORK_CAP", units)
+    assert exact_deterministic_cc(f) == want
+
+
+def test_depth_search_charges_the_root_before_reading_a_cell(monkeypatch):
+    # a matrix past the cap is refused before base, one entry per merged
+    # cell, is built: the root's nr x nc is charged before any cell is read
+    f = builtin_function("EQ", 3)
+    row_groups, col_groups, masks = _merged(f)
+
+    class Unread:
+        def __getitem__(self, z):
+            raise AssertionError("a cell was read before the root was charged")
+
+        def __iter__(self):
+            raise AssertionError("a cell was read before the root was charged")
+
+    monkeypatch.setattr(commcc, "_merged", lambda g: (row_groups, col_groups, Unread()))
+    monkeypatch.setattr(commcc, "WORK_CAP", 8 * 8 - 1)
+    with pytest.raises(CapError, match="protocol-depth"):
+        exact_deterministic_cc(f)
+    monkeypatch.setattr(commcc, "WORK_CAP", 8 * 8)
+    with pytest.raises(AssertionError, match="before the root was charged"):
+        exact_deterministic_cc(f)
 
 
 def rank_depth_bound(rows):

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from regcc import commcc
+from regcc import commcc, reductions
 from regcc.automata import EPSILON, CapError, CcError, Dfa, accepts, builtin_language
 from regcc.classify import BUILTIN_MONOID_NAMES, builtin_monoid
 from regcc.commcc import UNDEF
@@ -127,6 +127,25 @@ def test_verify_rejects_lengths_past_the_materialization_cap(monkeypatch):
     monkeypatch.setattr(type(r), "source", no_source)
     with pytest.raises(CapError, match="n_max=13"):
         verify_reduction(r, commcc.MATERIALIZE_CAP + 1)
+
+
+@pytest.mark.parametrize("name", ["ipq_to_group", "lt_to_noncommutative"])
+def test_verify_builds_each_source_once(name, monkeypatch):
+    # a local and a position reduction: replaying either again reads its
+    # sources from the cache, and reads the same frozen matrices
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return commcc.builtin_function(*args, **kwargs)
+
+    reductions._source.cache_clear()
+    monkeypatch.setattr(reductions, "builtin_function", counted)
+    r = builtin_reduction(name)
+    first = [r.source(n) for n in (1, 2, 3)]
+    assert verify_reduction(r, 3) == verify_reduction(r, 3)
+    assert [r.source(n) for n in (1, 2, 3)] == first
+    assert len(built) == 3
 
 
 def test_verify_shuffle():
