@@ -5,11 +5,10 @@ Matrices are stored row-wise as strings over ``0``, ``1`` and ``*`` where
 wildcards inside rectangles: a z-monochromatic rectangle must avoid defined
 (1-z) cells only.
 
-Each built-in function is a regular language over the bit pairs of its
-inputs, read from the most significant bit by an automaton of at most four
-states (min(q, ``MATERIALIZE_CAP`` + 1) for IP_q).  ``_automaton`` turns it
-into byte translation tables, and ``_fold_rows`` moves all row and column
-prefixes through them one bit per level, so a build is linear in its cells.
+Every matrix built here is the word problem of an automaton, and one prefix
+fold, ``_fold``, builds each in time linear in its cells.  A built-in reads
+bit pairs, most significant first, with at most four states (min(q,
+``MATERIALIZE_CAP`` + 1) for IP_q); a language or monoid problem one letter.
 
 Exact solvers: minimum rectangle cover (branch and bound over maximal
 rectangles), minimum disjoint cover (on total functions the leaves of a
@@ -60,7 +59,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .automata import EPSILON, CapError, CcError, Dfa, accepts
+from .automata import EPSILON, CapError, CcError, Dfa
 
 UNDEF = "*"
 
@@ -239,18 +238,19 @@ def builtin_function(name: str, n: int, q: int | None = None,
         params.append(("variant", variant))
     elif name not in CC_FUNCTION_NAMES:
         raise CcError("unknown built-in function %r" % name)
-    rows = _fold_rows(*_automaton(name, q if name == "IP" else None,
-                                  variant if name == "PIP2" else None), n)
+    states, maps, verdict = _automaton(name, q if name == "IP" else None,
+                                       variant if name == "PIP2" else None)
+    *_, read = _fold(0, states, itertools.repeat(maps, n))
     labels = tuple(format(x, "0%db" % n) for x in range(1 << n))
     return CommFunction("IP_%d" % q if name == "IP" else name, labels, labels,
-                        rows, tuple(params))
+                        read(verdict), tuple(params))
 
 
 @functools.cache
 def _automaton(name, q, variant):
-    """Translation tables of a built-in's bit-pair automaton:
-    ``tables[a][b]`` maps each state byte to its successor on (a, b), and
-    ``final`` maps each state to its cell character.  State 0 starts."""
+    """A built-in's bit-pair automaton: (states, maps, verdict), where
+    ``maps[a][b][s]`` is the successor of state s on the pair (a, b) and
+    ``verdict`` holds each state's cell character.  State 0 starts."""
     if name in ("EQ", "NEQ"):     # 1: the pairs have differed
         states, step = 2, lambda s, a, b: s | (a != b)
         verdict = "10" if name == "EQ" else "01"
@@ -275,28 +275,46 @@ def _automaton(name, q, variant):
             broken = a != b and (s & 1 == 0) == (a == mixed)
             return (s & 1 ^ a & b) | s & 2 | broken << 1
         verdict = "10**" if variant == "TWO_SIDED" else "101*"
-    tables = tuple(tuple(bytes(step(s, a, b) for s in range(states)).ljust(256, b"\0")
-                         for b in (0, 1)) for a in (0, 1))
-    return tables, verdict.encode().ljust(256, b"0")
+    maps = tuple(tuple(tuple(step(s, a, b) for s in range(states)) for b in (0, 1))
+                 for a in (0, 1))
+    return states, maps, verdict
 
 
-def _fold_rows(tables, final, n):
-    """The 2^n row strings of an automaton.  Row i, column j of one level
-    holds, as a byte, the state after the bit prefixes i and j; the next
-    level moves it through the tables of (x-bit, 0) and (x-bit, 1) into row
-    2i + x-bit at columns 2j and 2j + 1.  The last level is read through
-    ``final``."""
-    rows = [b"\0"]
-    for _ in range(n):
-        level = []
-        for row in rows:
-            for through in tables:
-                out = bytearray(2 * len(row))
-                out[0::2] = row.translate(through[0])
-                out[1::2] = row.translate(through[1])
-                level.append(out)
-        rows = level
-    return tuple(row.translate(final).decode() for row in rows)
+def _fold(start, states, levels):
+    """Word-problem matrices of an automaton, from the 1 x 1 matrix of
+    ``start``: a level is a table ``maps[a][b]`` of state maps, and the state
+    at row i, column j moves through ``maps[a][b]`` into row i * ka + a,
+    column j * kb + b (``itertools.product`` order).  Yields, before the
+    first level and after each, a reader: ``final`` (one character per
+    state) -> row strings.  The cells are flat, each level a few moves of
+    all of them: of nr stored rows, row k moves to rows a * nr + k, and
+    ``order[i]`` stores row i.  Up to 256 states they are bytes moved by
+    ``translate``, else a list of ints."""
+    small = states <= 256
+
+    def read(cells, order, final):
+        width = len(cells) // len(order)
+        rows = (cells[k * width:(k + 1) * width] for k in order)
+        if small:
+            final = final.encode().ljust(256)
+            return tuple(row.translate(final).decode() for row in rows)
+        return tuple("".join(map(final.__getitem__, row)) for row in rows)
+
+    cells, order, last = bytes((start,)) if small else [start], [0], None
+    yield functools.partial(read, cells, order)
+    for maps in levels:
+        if small:
+            if maps is not last:        # a repeated level keeps its tables
+                last, byte_maps = maps, [[bytes(m).ljust(256) for m in ms] for ms in maps]
+            kb, size, old = len(maps[0]), len(cells) * len(maps[0]), cells
+            cells = bytearray(size * len(maps))
+            for a, tables in enumerate(byte_maps):
+                for b, table in enumerate(tables):
+                    cells[a * size + b:(a + 1) * size:kb] = old.translate(table)
+        else:
+            cells = [m[s] for ms in maps for s in cells for m in ms]
+        order = [a * len(order) + k for k in order for a in range(len(maps))]
+        yield functools.partial(read, cells, order)
 
 
 # ---------------------------------------------------------------------------
@@ -312,56 +330,43 @@ def language_problem(d: Dfa, n: int) -> CommFunction:
 
 
 def language_problem_partition(d: Dfa, total: int, alice_positions) -> CommFunction:
-    """Word problem under an arbitrary partition of ``total`` positions;
-    cross-check helper for the worst-case-partition convention."""
+    """Word problem under an arbitrary partition of ``total`` positions, one
+    fold level each; cross-check helper for the worst-case-partition convention."""
     alice_positions = tuple(sorted(alice_positions))
     if any(not 0 <= p < total for p in alice_positions):
         raise CcError("partition positions out of range")
     if len(set(alice_positions)) != len(alice_positions):
         raise CcError("partition positions repeat")
-    bob_positions = tuple(p for p in range(total) if p not in alice_positions)
+    n_alice = len(alice_positions)
     letters = (EPSILON,) + tuple(d.alphabet)
-    side = max(len(alice_positions), len(bob_positions))
+    side = max(n_alice, total - n_alice)
     if len(letters) ** side > PROBLEM_CELL_CAP:
         raise CapError("language problem size %d^%d exceeds cap" % (len(letters), side))
-    a_tuples = list(itertools.product(letters, repeat=len(alice_positions))) or [()]
-    b_tuples = list(itertools.product(letters, repeat=len(bob_positions))) or [()]
-    rows = []
-    for ra in a_tuples:
-        row = []
-        for rb in b_tuples:
-            slots = [EPSILON] * total
-            for p, ch in zip(alice_positions, ra):
-                slots[p] = ch
-            for p, ch in zip(bob_positions, rb):
-                slots[p] = ch
-            row.append("1" if accepts(d, "".join(slots)) else "0")
-        rows.append("".join(row))
-    return CommFunction("language-partition", tuple("".join(t) or EPSILON for t in a_tuples),
-                        tuple("".join(t) or EPSILON for t in b_tuples),
-                        tuple(rows), (("total", total),))
+    moves = (tuple(range(d.state_count)),) + d.moves
+    alice, bob = tuple((m,) for m in moves), (moves,)
+    levels = [alice if p in alice_positions else bob for p in range(total)]
+    *_, read = _fold(d.initial, d.state_count, levels)
+    rows = read("".join("01"[s in d.accepting] for s in range(d.state_count)))
+    a_labels, b_labels = (tuple("".join(t) or EPSILON
+                                for t in itertools.product(letters, repeat=k))
+                          for k in (n_alice, total - n_alice))
+    return CommFunction("language-partition", a_labels, b_labels, rows, (("total", total),))
 
 
 def monoid_problem(om, ideal, n: int) -> CommFunction:
-    """Alternating-partition evaluation problem for (M, I)."""
+    """Alternating-partition evaluation problem for (M, I), letter e acting as x -> x e."""
     m = om.monoid if hasattr(om, "monoid") else om
     if n < 1:
         raise CcError("monoid problem needs n >= 1")
     if m.size ** n > PROBLEM_CELL_CAP:
         raise CapError("monoid problem size %d^%d exceeds cap" % (m.size, n))
     members = ideal.members if hasattr(ideal, "members") else frozenset(ideal)
-    tuples = list(itertools.product(range(m.size), repeat=n))
-    labels = tuple(".".join(m.name_of(x) for x in t) for t in tuples)
-    rows = []
-    for r in tuples:
-        row = []
-        for c in tuples:
-            p = m.identity
-            for a, b in zip(r, c):
-                p = m.table[m.table[p][a]][b]
-            row.append("1" if p in members else "0")
-        rows.append("".join(row))
-    return CommFunction("monoid", labels, labels, tuple(rows), (("n", n),))
+    acts = tuple(zip(*m.table))
+    *_, read = _fold(m.identity, m.size, (tuple((e,) for e in acts), (acts,)) * n)
+    rows = read("".join("01"[x in members] for x in range(m.size)))
+    labels = tuple(".".join(m.name_of(x) for x in t)
+                   for t in itertools.product(range(m.size), repeat=n))
+    return CommFunction("monoid", labels, labels, rows, (("n", n),))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .classify import (
     is_shuffle_witness,
 )
 from .commcc import (
-    MATERIALIZE_CAP, UNDEF, CommFunction, _Budget, builtin_function,
+    MATERIALIZE_CAP, UNDEF, CommFunction, _Budget, _fold, builtin_function,
 )
 from .monoid import (
     OrderIdeal, OrderedMonoid, eval_word, find_tq, ideal_generated,
@@ -207,7 +207,9 @@ class PositionReduction(RectangularReduction):
 @dataclass(frozen=True)
 class AppendOnesReduction(RectangularReduction):
     """Function-to-function reduction: both players append q ones, turning
-    promise disjointness into the inner-product predicate."""
+    promise disjointness into the inner-product predicate.  It is replayed
+    cell by cell: IP_q's automaton stops counting at ``MATERIALIZE_CAP`` + 1
+    states, so the q appended (1, 1) pairs cannot be folded on it once q > 12."""
 
     q: int = 2
 
@@ -296,12 +298,12 @@ def _scalar_rows(reduction, f: CommFunction) -> list[str]:
             for x, want in zip(f.row_labels, f.rows)]
 
 
-def _verdict(reduction, action) -> tuple[str, ...]:
+def _verdict(reduction, action) -> str:
     """"1" or "0" per state: the reduction's decision once the state has
     gone through ``action``."""
     inside, outside = ("1", "0") if reduction.polarity == ACCEPT_IS_ONE else ("0", "1")
     accepting = reduction.target.accepting
-    return tuple(inside if s in accepting else outside for s in action)
+    return "".join(inside if s in accepting else outside for s in action)
 
 
 def _interleaved(alice, bob) -> list:
@@ -311,30 +313,19 @@ def _interleaved(alice, bob) -> list:
 def _local_levels(r: LocalReduction):
     """Replayed rows of a ``LocalReduction`` at n = 1, 2, ....
 
-    One left fold over the slots, shared by all pairs with a common bit
-    prefix: the state of (x, y) after n blocks, at row 2i + x_n and column
-    2j + y_n, is the state of the (n-1)-bit prefixes at (i, j) moved
-    through the block of (x_n, y_n).  Each length then reads its states
-    through the suffix and acceptance.
+    The reduction is an automaton over bit pairs with the target's states:
+    it starts where the prefix slots lead, reads (x_k, y_k) through the
+    block action ``blocks[x_k][y_k]``, and decides once the suffix slots
+    have run.  So length n is ``_fold``'s n-th level, read through that
+    verdict.
     """
     target = r.target
     start = target.action(_interleaved(r.alice_prefix, r.bob_prefix))[target.start]
     blocks = tuple(tuple(target.action(_interleaved(r.alice[x], r.bob[y]))
                          for y in (0, 1)) for x in (0, 1))
     verdict = _verdict(r, target.action(_interleaved(r.alice_suffix, r.bob_suffix)))
-    rows = [[start]]
-    while True:
-        rows = [_fold_row(row, blocks[x]) for row in rows for x in (0, 1)]
-        yield ["".join(map(verdict.__getitem__, row)) for row in rows]
-
-
-def _fold_row(row, maps) -> list[int]:
-    """Row of states moved through the blocks of y = 0 and y = 1: state j
-    goes to columns 2j and 2j + 1."""
-    folded = [0] * (2 * len(row))
-    folded[0::2] = map(maps[0].__getitem__, row)
-    folded[1::2] = map(maps[1].__getitem__, row)
-    return folded
+    reads = _fold(start, len(verdict), itertools.repeat(blocks))
+    return (read(verdict) for read in itertools.islice(reads, 1, None))
 
 
 def _position_levels(r: PositionReduction):

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import operator
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -10,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from regcc import commcc
-from regcc.automata import CapError, CcError, builtin_language
+from regcc.automata import EPSILON, CapError, CcError, Dfa, accepts, builtin_language
 from regcc.commcc import (
     UNDEF, CommFunction, Cover, ProtocolNode, Rectangle, RectangleMeasure,
     builtin_function, exact_deterministic_cc, format_indices,
@@ -27,6 +28,7 @@ from regcc.commcc import (
 from regcc.monoid import (
     FiniteMonoid, OrderedMonoid, ideal_generated, syntactic_ordered_monoid,
 )
+from regcc.reductions import ACCEPT_IS_ONE, LanguageTarget, LocalReduction, _replayer
 
 
 def log2ceil(k):
@@ -501,6 +503,137 @@ def test_worst_case_partition_cross_check():
 def test_partition_rejects_repeated_positions():
     with pytest.raises(CcError, match="repeat"):
         language_problem_partition(builtin_language("BA2_LANG"), 2, [0, 0])
+
+
+# the per-cell definitions of the word-problem builders, the oracles of the
+# fold that builds them
+
+
+def reference_language_problem_partition(d, total, alice_positions):
+    """``accepts`` on the word of every cell."""
+    alice_positions = tuple(sorted(alice_positions))
+    bob_positions = tuple(p for p in range(total) if p not in alice_positions)
+    letters = (EPSILON,) + tuple(d.alphabet)
+    a_tuples = list(itertools.product(letters, repeat=len(alice_positions)))
+    b_tuples = list(itertools.product(letters, repeat=len(bob_positions)))
+    rows = []
+    for ra in a_tuples:
+        row = []
+        for rb in b_tuples:
+            slots = [EPSILON] * total
+            for p, ch in zip(alice_positions, ra):
+                slots[p] = ch
+            for p, ch in zip(bob_positions, rb):
+                slots[p] = ch
+            row.append("1" if accepts(d, "".join(slots)) else "0")
+        rows.append("".join(row))
+    return CommFunction("language-partition", tuple("".join(t) or EPSILON for t in a_tuples),
+                        tuple("".join(t) or EPSILON for t in b_tuples),
+                        tuple(rows), (("total", total),))
+
+
+def reference_monoid_problem(m, members, n):
+    """The product of every cell's elements, multiplied through the table."""
+    tuples = list(itertools.product(range(m.size), repeat=n))
+    labels = tuple(".".join(m.name_of(x) for x in t) for t in tuples)
+    rows = []
+    for r in tuples:
+        row = []
+        for c in tuples:
+            p = m.identity
+            for a, b in zip(r, c):
+                p = m.table[m.table[p][a]][b]
+            row.append("1" if p in members else "0")
+        rows.append("".join(row))
+    return CommFunction("monoid", labels, labels, tuple(rows), (("n", n),))
+
+
+def random_dfa(rng, states, alphabet):
+    """Any initial state, so some states may be unreachable, and no
+    minimization, so some may be equivalent."""
+    return Dfa.make(alphabet, states, rng.randrange(states),
+                    {s for s in range(states) if rng.random() < 0.5},
+                    {a: [rng.randrange(states) for _ in range(states)] for a in alphabet})
+
+
+def cycle_dfa(states, alphabet="a"):
+    """Counts the letters modulo ``states``; b, when there, doubles the count."""
+    moves = {"a": [(s + 1) % states for s in range(states)],
+             "b": [2 * s % states for s in range(states)]}
+    return Dfa.make(alphabet, states, 0, {0, 7}, {a: moves[a] for a in alphabet})
+
+
+def test_language_problem_partition_matches_its_definition():
+    rng = random.Random(26)
+    for _ in range(160):
+        d = random_dfa(rng, rng.randint(1, 7), rng.choice(("ab", "abc")))
+        total = rng.randint(0, 7)
+        alice = rng.choice((
+            [], list(range(total)),
+            [p for p in range(total) if rng.random() < 0.5]))
+        side = max(len(alice), total - len(alice))
+        if (len(d.alphabet) + 1) ** side > commcc.PROBLEM_CELL_CAP:
+            with pytest.raises(CapError):
+                language_problem_partition(d, total, alice)
+            continue
+        assert language_problem_partition(d, total, alice) == \
+            reference_language_problem_partition(d, total, alice), (d, total, alice)
+
+
+def test_language_problem_matches_its_definition_past_a_byte_of_states():
+    # 300 and 257 states: rows are int lists, where a byte holds no state
+    for states, n in ((300, 1), (300, 3), (300, 6), (257, 2)):
+        d = cycle_dfa(states, "ab" if n < 6 else "a")
+        f = language_problem(d, n)
+        assert f.rows == reference_language_problem_partition(d, 2 * n, range(0, 2 * n, 2)).rows
+    # the same language with 260 unreachable states folds to the same rows
+    rng = random.Random(27)
+    for _ in range(10):
+        d = random_dfa(rng, rng.randint(1, 5), "ab")
+        k = d.state_count + 260
+        padded = Dfa.make("ab", k, d.initial, d.accepting,
+                          {a: list(d.moves[i]) + [0] * 260 for i, a in enumerate("ab")})
+        assert language_problem(padded, 3) == language_problem(d, 3)
+
+
+def cyclic_monoid(size):
+    return FiniteMonoid(size, 0, tuple(tuple((x + y) % size for y in range(size))
+                                       for x in range(size)),
+                        tuple("g%d" % x for x in range(size)))
+
+
+def test_monoid_problem_matches_its_definition():
+    rng = random.Random(28)
+    monoids = [cyclic_monoid(300)]
+    while len(monoids) < 16:
+        d = random_dfa(rng, rng.randint(2, 4), rng.choice(("ab", "abc")))
+        monoids.append(syntactic_ordered_monoid(d)[0].monoid)
+    for m in monoids:
+        for n in range(1, 4):
+            if m.size ** n > 64 and n > 1:
+                break
+            members = frozenset(x for x in range(m.size) if rng.random() < 0.4)
+            assert monoid_problem(m, members, n) == reference_monoid_problem(m, members, n)
+
+
+def test_local_reduction_onto_more_than_a_byte_of_states():
+    # padded words into a 300-state language: the replay folds int lists
+    rng = random.Random(29)
+    target = LanguageTarget(cycle_dfa(300, "ab"))
+
+    def words(k):
+        return tuple("".join(rng.choice("ab_") for _ in range(2)) for _ in range(k))
+
+    for source, q in (("DISJ", None), ("IP", 3), ("PDISJ", None)):
+        r = LocalReduction("random", source, (words(2), words(2)), (words(2), words(2)),
+                           words(1), words(1), words(1), words(1), target,
+                           ACCEPT_IS_ONE, q)
+        replay = _replayer(r)
+        for n in range(1, 5):
+            f = r.source(n)
+            assert list(replay(f)) == [
+                "".join(str(int(r.decides_one(x, y))) for y in f.col_labels)
+                for x in f.row_labels]
 
 
 # --- rectangles and covers ----------------------------------------------------

@@ -10,9 +10,9 @@ import random
 
 import pytest
 
-from regcc.automata import Dfa, accepts, minimize
+from regcc.automata import CapError, Dfa, accepts, minimize
 from regcc.classify import classify_nondet, verify_certificate
-from regcc.commcc import language_problem, min_cover
+from regcc.commcc import exact_deterministic_cc, language_problem, min_cover
 from regcc.monoid import (
     check_property, is_order_ideal, syntactic_ordered_monoid,
     transition_monoid,
@@ -101,3 +101,27 @@ def test_commutative_language_problem_cover_is_monotone():
                 break
             counts.append(min_cover(f, 1)[0])
         assert counts == sorted(counts), (serial(d), counts)
+
+
+def test_dichotomy_matches_language_problem_rows():
+    # the O(1) side in matrix form: with M commutative a cell depends only
+    # on the products of Alice's and of Bob's letters, so the word problem
+    # has at most |M| distinct rows at every n, and a protocol sends one
+    # row class and answers; with M not commutative the rows keep growing
+    from test_monoid_oracles import seeded_binary_dfa
+    kept = 0
+    for seed in range(400):
+        d = seeded_binary_dfa(seed, 3 + seed % 4)
+        try:
+            om, _, _ = syntactic_ordered_monoid(d, cap=60)
+        except CapError:
+            continue
+        kept += 1
+        rows = {n: len(set(language_problem(d, n).rows)) for n in range(1, 6)}
+        if classify_nondet(om).tier == "CONSTANT":
+            assert max(rows.values()) <= om.size, (seed, rows)
+            depth = exact_deterministic_cc(language_problem(d, 5))[0]
+            assert depth <= (rows[5] - 1).bit_length() + 1, (seed, depth, rows)
+        else:
+            assert rows[5] > rows[3], (seed, rows)
+    assert kept >= 300
