@@ -24,9 +24,9 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .automata import CcError, Dfa, builtin_language
+from .automata import CapError, CcError, Dfa, builtin_language
 from .monoid import (
-    OrderedMonoid, check_property, divides, division_map,
+    MONOID_CAP, OrderedMonoid, check_property, divides, division_map,
     eval_word, find_tq, nonabelian_subgroup_witness,
     syntactic_ordered_monoid, tq_period, transition_monoid,
 )
@@ -104,6 +104,11 @@ def builtin_monoid(name: str, q: int | None = None):
     if name == "TQ_EXAMPLE":
         if q is None or q < 2:
             raise CcError("TQ_EXAMPLE requires q >= 2")
+        # its monoid has 4q + 1 elements, so one past the cap is refused
+        # before the 2q-state automaton is built and closed
+        if 4 * q + 1 > MONOID_CAP:
+            raise CapError("TQ_EXAMPLE at q=%d has %d elements, past the cap of %d"
+                           % (q, 4 * q + 1, MONOID_CAP))
         m, _ = transition_monoid(_tq_dfa(q))
         return OrderedMonoid.with_equality(m), None
     if name == "S3":

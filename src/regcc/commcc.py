@@ -21,7 +21,8 @@ The protocol depth is one memoized search over row and column
 bipartitions, whose first optimal split at each node gives the protocol
 tree.  Each rectangle stops at the first split reaching a lower bound:
 the rank bound when it has no undefined cell, else a greedy fooling set of
-both colors, whose cells need a leaf each.  A split stops as soon as a
+each color, whose cells need a leaf each; it is the one greedy fooling set
+that the partition search takes too.  A split stops as soon as a
 child shows it cannot beat the best split so far, because each child is
 solved only below that depth (a cutoff, as in alpha-beta search).  All of
 it, ranks and fooling sets included, is charged to one work meter.
@@ -670,7 +671,14 @@ def _greedy_blocked_fooling(left, forbid, nr, nc, cap):
     rectangle avoiding ``forbid`` holds both.  Each step takes the lowest
     cell (r, c) and keeps the cells (r', c') with (r, c') or (r', c) in
     ``forbid``: row r of ``forbid`` repeated down the rows, or its column c
-    spread along them.  Stops once the set holds more than ``cap`` cells."""
+    spread along them.  Stops once the set holds more than ``cap`` cells.
+
+    Both searches that bound by a fooling set call it: the partition
+    search (``_Partitions``) on the cells a color has left against the
+    other color's and the blocked ones, and the depth search
+    (``exact_deterministic_cc``) on a rectangle's z-cells against the
+    whole matrix's 1-z cells, whose crossing cells with two cells of the
+    rectangle lie in the rectangle."""
     row = (1 << nc) - 1
     rep = ((1 << (nr * nc)) - 1) // row       # bit 0 of every row
     found = size = 0
@@ -1042,52 +1050,6 @@ class ProtocolNode:
         return [leaf for child in self.children for leaf in child.leaves()]
 
 
-def _greedy_fooling(where, row_idx, cols):
-    """For each color z, the z-cells of the rectangle ``row_idx`` x
-    ``cols`` (a column mask) taken in row order whenever a defined 1-z
-    cross cell separates the cell from every cell taken before: a list of
-    (row, column bit) pairs per color.  ``where[z][i]`` holds the columns
-    with a defined z in row i.  Two z-cells of one row are never separated,
-    so each row gives at most one cell, its first free column."""
-    out = []
-    for z in (0, 1):
-        other = where[1 - z]
-        taken = []
-        for i in row_idx:
-            free = where[z][i] & cols
-            for k, bit in taken:
-                if not other[i] & bit:
-                    free &= other[k]
-            if free:
-                taken.append((i, free & -free))
-        out.append(taken)
-    return out
-
-
-def _shallow_depth(masks, rows, cols):
-    """min(2, depth) of the rectangle ``rows`` x ``cols`` (masks), read off
-    ``masks[z][i]``, the columns with a defined z in row i: 0 when at most
-    one defined color occurs, 1 when both do and either no row or no column
-    holds both, else 2.  Undefined cells side with either color, so a split
-    of the rows (columns) into two monochromatic parts exists exactly when
-    every row (column) is monochromatic."""
-    zeros, ones = masks
-    any0 = any1 = 0
-    mixed_row = False
-    while rows:
-        low = rows & -rows
-        i = low.bit_length() - 1
-        rows ^= low
-        m0, m1 = zeros[i] & cols, ones[i] & cols
-        any0 |= m0
-        any1 |= m1
-        if m0 and m1:
-            mixed_row = True
-    if not (any0 and any1):
-        return 0
-    return 2 if mixed_row and any0 & any1 else 1
-
-
 def _group_summaries(keys, group_masks, across, weigh):
     """Each group of equal rows (columns), its cells ``keys[g]`` read along
     the indices ``across``, as (mask, 0-mask, 1-mask, mixed, rows): the
@@ -1155,8 +1117,9 @@ def exact_deterministic_cc(f: CommFunction):
     no two of which share a leaf: depth >= max(1, ceil(log2 leaves)).  With
     no undefined cell, a protocol tree has at least rank(1-cells) +
     rank(0-cells) leaves (ranks over Q).  With one, the bound is a fooling
-    set: for each color z, the z-cells taken greedily in row order when a
-    defined 1-z cross cell separates them from every cell already taken.
+    set of each color z, ``_greedy_blocked_fooling`` on flat cell bits:
+    the rectangle's z-cells taken lowest first when a defined 1-z cross
+    cell separates them from every cell already taken.
     The search stops at the first split reaching lb: no later split can
     beat a proven minimum, so the rule above still picks it.
 
@@ -1205,12 +1168,14 @@ def _protocol_tree(row_groups, col_groups, masks):
     # base[r][c]: the merged cell as -1 (undefined), 0 or 1
     base = [tuple(0 if zeros >> c & 1 else 1 if ones >> c & 1 else -1 for c in range(nc))
             for zeros, ones in zip(*masks)]
+    # each color's cells and the undefined ones as flat bits r * nc + c,
+    # each color read as one binary numeral of its rows, last row first
+    cells = [int("".join(format(mask, "0%db" % nc) for mask in reversed(rows)), 2)
+             for rows in masks]
+    undefined = ((1 << (nr * nc)) - 1) & ~(cells[0] | cells[1])
     memo = {}  # canonical content -> [depth or lower bound, exact]
     by_rect = {}  # rows mask << nc | cols mask -> its memo entry
     no_limit = 10 ** 9
-
-    def colors(row_idx, cols):
-        return [z for z in (0, 1) if any(masks[z][i] & cols for i in row_idx)]
 
     def canon(row_idx, col_idx):
         rows = tuple(sorted({tuple(base[i][j] for j in col_idx) for i in row_idx}))
@@ -1231,11 +1196,13 @@ def _protocol_tree(row_groups, col_groups, masks):
         row_idx, col_idx = _mask_to_indices(rows), _mask_to_indices(cols)
         r, c = len(row_idx), len(col_idx)
         budget.charge(r * c)
-        if not _shallow_depth(masks, rows, cols):
+        rect = _cells(rows, cols, nc)
+        if not rect & cells[0] or not rect & cells[1]:
             return 0, None
-        if any(cols & ~(masks[0][i] | masks[1][i]) for i in row_idx):
+        if rect & undefined:
             budget.charge(2 * r * c)
-            leaves = sum(map(len, _greedy_fooling(masks, row_idx, cols)))
+            leaves = sum(_greedy_blocked_fooling(rect & cells[z], cells[1 - z], nr, nc,
+                                                 no_limit).bit_count() for z in (0, 1))
         else:
             budget.charge(4 * r * c * min(r, c))
             leaves = sum(_rank_q([[base[i][j] == z for j in col_idx] for i in row_idx])
@@ -1290,7 +1257,7 @@ def _protocol_tree(row_groups, col_groups, masks):
                         low_bits = (1 << h) - 1
                     pa_l, xa_l, ya_l, fa_l, xb_l, yb_l, fb_l, na_l, nb_l = low[pick & low_bits]
                     pa_h, xa_h, ya_h, fa_h, xb_h, yb_h, fb_h, na_h, nb_h = high[pick >> h]
-                    # _shallow_depth of each part, read off the summaries
+                    # each part's depth capped at 2, read off the summaries
                     budget.charge(count + fixed + na_h + na_l)
                     x0, x1 = xa_h | xa_l, ya_h | ya_l
                     d1 = 0 if not (x0 and x1) else 2 if (fa_h or fa_l) and x0 & x1 else 1
@@ -1332,7 +1299,7 @@ def _protocol_tree(row_groups, col_groups, masks):
         if split is None:
             leaves.append((rows, cols))
             return ProtocolNode(row_idx, col_idx,
-                                color=min(colors(_mask_to_indices(rows), cols)))
+                                color=0 if _cells(rows, cols, nc) & cells[0] else 1)
         side, parts = split
         return ProtocolNode(row_idx, col_idx, split=side,
                             children=tuple(walk(*part) for part in parts))

@@ -113,11 +113,12 @@ class FiniteMonoid:
         word of length 1 .. _SCREEN_LEN in shortlex order as (prefix index,
         generator index), where index 0 is the empty word; ``values[j]``
         is the value of word j, ``values[0]`` the identity.  ``cayley`` is
-        None unless every element e has a word shorter than _SCREEN_LEN;
-        then, with u_e the least one, it is (tree, relations): the edge
-        e --a--> ea of the Cayley graph is tree[ea] = (e, a) when u_e a is
-        u_(ea), and the relation (e, a, ea) when it is not.  ``generated``
-        says whether the generators generate the monoid.
+        (tree, relations), the right Cayley graph as the shortlex BFS of
+        ``_canonical_names`` walks it: with u_e the least word of e, the
+        edge e --a--> ea is tree[ea] = (e, a) when u_e a is u_(ea), and
+        the relation (e, a, ea) when it is not.  ``generated`` says whether
+        the generators generate the monoid, that is, whether the tree
+        reaches every element.
         """
         gens = [g for _, g in self.generators]
         words, values, frontier = [], [self.identity], [0]
@@ -129,23 +130,10 @@ class FiniteMonoid:
                     values.append(self.table[values[w]][g])
                     grown.append(len(values) - 1)
             frontier = grown
-        least = {}
-        for j, v in enumerate(values[:len(values) - len(frontier)]):
-            least.setdefault(v, j)
-        cayley = None
-        if len(least) == self.size:
-            cayley = {}, []
-            for j, (w, i) in enumerate(words, 1):
-                e, f = values[w], values[j]
-                if least[e] == w:
-                    if least[f] == j:
-                        cayley[0][f] = e, i
-                    else:
-                        cayley[1].append((e, i, f))
-        # the BFS names an element it does not reach "#<element>"
-        generated = not any(name.startswith("#") for name in _canonical_names(
-            self.table, self.identity, self.generators, self.size))
-        return words, np.array(values, dtype=np.int32), cayley, generated
+        _, tree, relations = _canonical_names(self.table, self.identity,
+                                              self.generators, self.size)
+        generated = len(tree) == self.size - 1
+        return words, np.array(values, dtype=np.int32), (tree, relations), generated
 
     def idempotents(self) -> list[int]:
         return [x for x in range(self.size) if self.table[x][x] == x]
@@ -675,26 +663,39 @@ def commutative_quotient(m: FiniteMonoid):
         for i in range(k)
     )
     gens = tuple((a, proj[g]) for a, g in mono.generators)
-    quotient = FiniteMonoid(k, proj[mono.identity], table,
-                            _canonical_names(table, proj[mono.identity], gens, k), gens)
+    names, _, _ = _canonical_names(table, proj[mono.identity], gens, k)
+    quotient = FiniteMonoid(k, proj[mono.identity], table, names, gens)
     return quotient, MonoidMorphism(mono, quotient, proj)
 
 
-def _canonical_names(table, identity, gens, size) -> tuple[str, ...]:
-    """Shortest generator words per element, BFS in letter order."""
+def _canonical_names(table, identity, gens, size):
+    """Shortlex BFS from the identity by right multiplication with the
+    generators, taken in their listed order, which is letter order.
+
+    Returns (names, tree, relations).  names[x] is the least word of x,
+    ``#x`` when the generators do not reach x.  Each edge e --i--> ea of
+    the right Cayley graph, i the index into ``gens``, is a tree edge
+    tree[ea] = (e, i) when it first reaches ea, so that the least word of
+    ea is that of e followed by letter i; otherwise it is the relation
+    (e, i, ea).  Both come in BFS order: parents before their children,
+    and each element's edges in generator order."""
     names = [None] * size
     names[identity] = ""
+    tree, relations = {}, []
     queue = deque([identity])
-    letters = sorted(dict(gens).items())
     while queue:
-        x = queue.popleft()
-        for a, g in letters:
-            y = table[x][g]
-            if names[y] is None:
-                names[y] = names[x] + a
-                queue.append(y)
-    return tuple(name if name is not None else "#%d" % i
-                 for i, name in enumerate(names))
+        e = queue.popleft()
+        for i, (a, g) in enumerate(gens):
+            f = table[e][g]
+            if names[f] is None:
+                names[f] = names[e] + a
+                tree[f] = e, i
+                queue.append(f)
+            else:
+                relations.append((e, i, f))
+    names = tuple(name if name is not None else "#%d" % i
+                  for i, name in enumerate(names))
+    return names, tree, relations
 
 
 def maximal_subgroups(m: FiniteMonoid):
@@ -779,9 +780,11 @@ def _preimage_candidates(m: FiniteMonoid, n: FiniteMonoid):
 _SCREEN_LEN = 3
 # preimage tuples screened per numpy block
 _SCREEN_BLOCK = 2048
-# preimage tuples per numpy block of the copy search, whose relations drop
-# most tuples after one or two gathers
-_COPY_BLOCK = 1 << 16
+# array entries per numpy block of the copy search, whose relations drop
+# most tuples after one or two gathers: a tuple takes a row of the
+# divisor's |n| values and its k preimages, and |n|^2 entries for the
+# order check, so BA2+ and U+ (|n| = 6, k = 2) take 47 662 tuples a block
+_COPY_BLOCK = 1 << 21
 
 
 def _product_blocks(candidates, size):
@@ -803,7 +806,7 @@ def _related(m: FiniteMonoid, n: FiniteMonoid, tuples, tree, relations):
     rows holding m(u_e) in column e and the tuple after those |n| columns.
     Each relation drops the rows that break it before the next is
     evaluated, and m(u_e) is evaluated along the tree of least words only
-    when first needed."""
+    when first needed, from its nearest evaluated ancestor down."""
     size, table = n.size, m.table_array
     rows = np.empty((len(tuples), size + tuples.shape[1]), dtype=np.int32)
     rows[:, size:] = tuples
@@ -811,10 +814,14 @@ def _related(m: FiniteMonoid, n: FiniteMonoid, tuples, tree, relations):
     known = {n.identity}
 
     def value(e):
-        if e not in known:
-            parent, i = tree[e]
-            rows[:, e] = table[value(parent), rows[:, size + i]]
-            known.add(e)
+        path, x = [], e
+        while x not in known:
+            path.append(x)
+            x = tree[x][0]
+        for x in reversed(path):
+            parent, i = tree[x]
+            rows[:, x] = table[rows[:, parent], rows[:, size + i]]
+            known.add(x)
         return rows[:, e]
 
     for e, i, f in relations:
@@ -827,27 +834,25 @@ def _related(m: FiniteMonoid, n: FiniteMonoid, tuples, tree, relations):
 
 
 def _least_copy(m_om: OrderedMonoid, n_om: OrderedMonoid, candidates):
-    """The least (sorted closure, preimages) over the preimage tuples whose
-    closure is a copy of n, or None.
+    """(values, preimages) for the least (sorted closure, preimages) over
+    the preimage tuples whose closure is a copy of n, or None; values[e]
+    is m(u_e), with u_e the least word of e.
 
-    Applies when every element e of n is the value of a word shorter than
-    _SCREEN_LEN (else None); let u_e be its least word.  Each u_e a, for a
-    generator a, is then a word of the screen, and equals u_f in n for
-    f = ea: it is u_f itself or gives the relation u_e a = u_f.  Take a
-    tuple that meets every relation and whose |n| values m(u_e) are
-    distinct.  Every word w has m(w) = m(u_(n(w))), by induction on the
-    length of w: for w = va, m(w) = m(u_(n(v))) m(a) = m(u_(n(v)) a), which
-    the relations make m(u_(n(w))).  So its closure is exactly the |n|
-    values, and m(u_e) -> e is an isomorphism onto n: a copy of n when
-    the order of m on those values is contained in that of n, one gather
-    on ``leq_array``.  No closure is run.
+    Each u_e a, for a generator a, equals u_f in n for f = ea: it is u_f
+    itself (a tree edge of ``divisor_words``) or gives the relation u_e a
+    = u_f.  Take a tuple that meets every relation and whose |n| values
+    m(u_e) are distinct.  Every word w has m(w) = m(u_(n(w))), by
+    induction on the length of w: for w = va, m(w) = m(u_(n(v))) m(a) =
+    m(u_(n(v)) a), which the relations make m(u_(n(w))).  So its closure
+    is exactly the |n| values, and m(u_e) -> e is an isomorphism onto n: a
+    copy of n when the order of m on those values is contained in that of
+    n, one gather on ``leq_array``.  No closure is run.
     """
     m, n = m_om.monoid, n_om.monoid
     _, _, cayley, _ = n.divisor_words
-    if cayley is None:
-        return None
+    width = n.size * (n.size + 1) + len(candidates)
     least = None
-    for tuples in _product_blocks(candidates, _COPY_BLOCK):
+    for tuples in _product_blocks(candidates, max(1, _COPY_BLOCK // width)):
         rows = _related(m, n, tuples, *cayley)
         if not len(rows):
             continue
@@ -860,13 +865,15 @@ def _least_copy(m_om: OrderedMonoid, n_om: OrderedMonoid, candidates):
         keep &= ~(below & ~n_om.leq_array).any(axis=(1, 2))
         if keep.any():
             # (sorted closure, preimages) keys, least first
-            values[:] = closures
-            keys = rows[keep]
-            row = keys[np.lexsort(keys.T[::-1])[0]].tolist()
-            found = row[:n.size], tuple(row[n.size:])
-            if least is None or found < least:
-                least = found
-    return least
+            keys = np.hstack((closures, rows[:, n.size:]))[keep]
+            row = np.lexsort(keys.T[::-1])[0]
+            key = keys[row].tolist()
+            if least is None or key < least[0]:
+                least = key, rows[keep][row, :n.size].tolist()
+    if least is None:
+        return None
+    key, values = least
+    return values, tuple(key[n.size:])
 
 
 def _screened_blocks(m: FiniteMonoid, n: FiniteMonoid, candidates):
@@ -911,21 +918,20 @@ def divides(n_om: OrderedMonoid, m_om: OrderedMonoid):
     * DS.  When m lies in DS (``in_ds``) and n does not, the answer is no
       before any tuple is listed: DS is closed under division, and ordered
       division implies division.  Neither BA2+ nor U+ lies in DS.
-    * Copy.  When every element of n is the value of a word shorter than
-      _SCREEN_LEN, ``_least_copy`` finds the tuples whose closure is an
-      isomorphic copy of n by checking n's relations on them, with no
-      closure.  A division map is onto n, so no closure is smaller than
-      |n|, and one of exactly |n| elements is a copy: when there is a
-      copy, the answer is the least one, and ``division_map`` runs once,
-      on it, to build the certificate's map.
-    * Closure.  Otherwise the product of the candidate lists is screened
-      in blocks (``_screened_blocks``): a tuple is dropped when two words
-      of length <= 3 over n's generators agree in m but differ in n, or
-      when the number of distinct m-values of those words, a lower bound
-      on its closure size, exceeds the best closure found so far.
-      Survivors are closed with ``division_map`` in ascending lower-bound
-      order, and a closure stops once it grows past the best one.  The
-      answer is no when none is a division map.
+    * Copy, for every divisor.  ``_least_copy`` finds the tuples whose
+      closure is an isomorphic copy of n by checking n's relations on
+      them, with no closure.  A division map is onto n, so no closure is
+      smaller than |n|, and one of exactly |n| elements is a copy: when
+      there is a copy, the answer is the least one, and its map m(u_e) ->
+      e is the certificate's, read off the copy search's values.
+    * Closure, for closures larger than n only.  Otherwise the product of
+      the candidate lists is screened in blocks (``_screened_blocks``): a
+      tuple is dropped when two words of length <= 3 over n's generators
+      agree in m but differ in n, or when the number of distinct m-values
+      of those words, a lower bound on its closure size, exceeds the best
+      closure found so far.  Survivors are closed with ``division_map`` in
+      ascending lower-bound order, and a closure stops once it grows past
+      the best one.  The answer is no when none is a division map.
 
     For k generators the copy search and the screen each walk up to |M|^k
     tuples: the screen with O(k^3) table lookups per tuple, the copy
@@ -951,8 +957,8 @@ def divides(n_om: OrderedMonoid, m_om: OrderedMonoid):
     candidates = _preimage_candidates(m_m, n_m)
     copy = _least_copy(m_om, n_om, candidates)
     if copy is not None:
-        preimages = copy[1]
-        image = division_map(n_om, m_om, preimages)
+        values, preimages = copy
+        image = {x: e for e, x in enumerate(values)}
         return True, (preimages, image, frozenset(image))
     best = None
     for tuples, lower in _screened_blocks(m_m, n_m, candidates):

@@ -1,15 +1,16 @@
 import itertools
+import time
 
 import pytest
 
-from regcc.automata import CcError, Dfa, builtin_language
+from regcc.automata import CapError, CcError, Dfa, builtin_language
 from regcc.classify import (
     BUILTIN_MONOID_NAMES, Certificate, builtin_monoid, classify_nondet,
     find_polcom_exclusion_witness, find_shuffle_witness, is_shuffle,
     serialize_classification, verify_certificate,
 )
 from regcc.monoid import (
-    check_property, eval_word, find_tq, maximal_subgroups,
+    MONOID_CAP, check_property, eval_word, find_tq, maximal_subgroups,
     nonabelian_subgroup_witness, syntactic_ordered_monoid,
 )
 from regcc.reductions import lt_reduction, verify_reduction
@@ -125,6 +126,18 @@ def test_tq_example_has_orbit():
         om, _ = builtin_monoid("TQ_EXAMPLE", q=q)
         got = find_tq(om.monoid)
         assert got is not None and got[0] == q
+
+
+def test_tq_example_is_refused_past_the_cap_before_it_is_built():
+    # TQ_EXAMPLE's monoid has exactly 4q + 1 elements, so q = 1250 is one
+    # past the cap and is refused before its 2500-state automaton is closed
+    for q in range(2, 17):
+        assert builtin_monoid("TQ_EXAMPLE", q=q)[0].size == 4 * q + 1
+    assert 4 * 1249 + 1 <= MONOID_CAP < 4 * 1250 + 1
+    start = time.perf_counter()
+    with pytest.raises(CapError, match="past the cap"):
+        builtin_monoid("TQ_EXAMPLE", q=1250)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_s3_nonabelian_subgroup():

@@ -22,8 +22,8 @@ from regcc.commcc import (
 )
 from regcc.commcc import (
     _batch_ranks, _cells, _closed_rectangles, _completion_ranks, _concepts,
-    _greedy_blocked_fooling, _greedy_fooling, _mask_to_indices, _merged, _rank_q,
-    _shallow_depth, _split_tables, _undominated,
+    _greedy_blocked_fooling, _mask_to_indices, _merged, _rank_q, _split_tables,
+    _undominated,
 )
 from regcc.monoid import (
     FiniteMonoid, OrderedMonoid, ideal_generated, syntactic_ordered_monoid,
@@ -1281,7 +1281,7 @@ def test_shallow_depth_matches_the_rule_oracle(rows, data):
     for row_mask, col_mask in rects:
         depth = rule_protocol_tree(f, _mask_to_indices(row_mask),
                                    _mask_to_indices(col_mask))[0]
-        assert _shallow_depth(masks, row_mask, col_mask) == min(2, depth)
+        assert shallow_depth(masks, row_mask, col_mask) == min(2, depth)
 
 
 def test_shallow_depth_keeps_the_depth_search_small(monkeypatch):
@@ -1290,6 +1290,71 @@ def test_shallow_depth_keeps_the_depth_search_small(monkeypatch):
     monkeypatch.setattr(commcc, "WORK_CAP", 20_000)
     f = builtin_function("PIP2", 3, variant="TWO_SIDED")
     assert exact_deterministic_cc(f)[0] == 3
+
+
+def shallow_depth(masks, rows, cols):
+    """min(2, depth) of the rectangle ``rows`` x ``cols`` (masks), read off
+    ``masks[z][i]``, the columns with a defined z in row i: 0 when at most
+    one defined color occurs, 1 when both do and either no row or no column
+    holds both, else 2.  Undefined cells side with either color, so a split
+    of the rows (columns) into two monochromatic parts exists exactly when
+    every row (column) is monochromatic.  The closed form that the depth
+    search reads off its split tables."""
+    zeros, ones = masks
+    any0 = any1 = 0
+    mixed_row = False
+    while rows:
+        low = rows & -rows
+        i = low.bit_length() - 1
+        rows ^= low
+        m0, m1 = zeros[i] & cols, ones[i] & cols
+        any0 |= m0
+        any1 |= m1
+        if m0 and m1:
+            mixed_row = True
+    if not (any0 and any1):
+        return 0
+    return 2 if mixed_row and any0 & any1 else 1
+
+
+def greedy_fooling(where, row_idx, cols):
+    """For each color z, the z-cells of the rectangle ``row_idx`` x
+    ``cols`` (a column mask) taken in row order whenever a defined 1-z
+    cross cell separates the cell from every cell taken before: a list of
+    (row, column bit) pairs per color.  ``where[z][i]`` holds the columns
+    with a defined z in row i.  Two z-cells of one row are never separated,
+    so each row gives at most one cell, its first free column.  The
+    per-row reference for the depth search's fooling bound."""
+    out = []
+    for z in (0, 1):
+        other = where[1 - z]
+        taken = []
+        for i in row_idx:
+            free = where[z][i] & cols
+            for k, bit in taken:
+                if not other[i] & bit:
+                    free &= other[k]
+            if free:
+                taken.append((i, free & -free))
+        out.append(taken)
+    return out
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(matrices("01*", 8, 8), st.data())
+def test_depth_fooling_bound_is_the_per_row_greedy(rows, data):
+    # on flat cell bits, the depth search's bound takes, color by color,
+    # the cells the per-row greedy takes on any rectangle
+    nr, nc = len(rows), len(rows[0])
+    where = [[sum(1 << j for j, ch in enumerate(row) if ch == z) for row in rows]
+             for z in "01"]
+    cells = [sum(mask << (i * nc) for i, mask in enumerate(where[z])) for z in (0, 1)]
+    row_mask = data.draw(st.integers(1, (1 << nr) - 1))
+    col_mask = data.draw(st.integers(1, (1 << nc) - 1))
+    rect = _cells(row_mask, col_mask, nc)
+    for z, taken in enumerate(greedy_fooling(where, _mask_to_indices(row_mask), col_mask)):
+        want = sum(bit << (i * nc) for i, bit in taken)
+        assert _greedy_blocked_fooling(rect & cells[z], cells[1 - z], nr, nc, nr * nc) == want
 
 
 def reference_protocol_tree(row_groups, col_groups, masks):
@@ -1327,11 +1392,11 @@ def reference_protocol_tree(row_groups, col_groups, masks):
         row_idx, col_idx = _mask_to_indices(rows), _mask_to_indices(cols)
         r, c = len(row_idx), len(col_idx)
         budget.charge(r * c)
-        if not commcc._shallow_depth(masks, rows, cols):
+        if not shallow_depth(masks, rows, cols):
             return 0, None
         if any(cols & ~(masks[0][i] | masks[1][i]) for i in row_idx):
             budget.charge(2 * r * c)
-            leaves = sum(map(len, commcc._greedy_fooling(masks, row_idx, cols)))
+            leaves = sum(map(len, greedy_fooling(masks, row_idx, cols)))
         else:
             budget.charge(4 * r * c * min(r, c))
             leaves = sum(commcc._rank_q([[base[i][j] == z for j in col_idx] for i in row_idx])
@@ -1373,10 +1438,10 @@ def reference_protocol_tree(row_groups, col_groups, masks):
 
     def solve(rows, cols, limit=no_limit):
         """best_split's depth or bound, memoized by canonical content; below
-        limit 3, the closed form of ``_shallow_depth``."""
+        limit 3, the closed form of ``shallow_depth``."""
         if limit <= 2:
             budget.charge(rows.bit_count())
-            return commcc._shallow_depth(masks, rows, cols)
+            return shallow_depth(masks, rows, cols)
         rect = rows << nc | cols
         entry = by_rect.get(rect)
         if entry is None:
@@ -1555,13 +1620,14 @@ def test_fooling_bound_is_at_most_the_depth(rows):
     # cells pairwise separated by a defined cross cell of the other color,
     # so no two share a leaf and they number at most 2^D
     f = as_function(rows)
-    where = [[sum(1 << j for j, ch in enumerate(row) if ch == z) for row in rows]
-             for z in "01"]
-    taken = _greedy_fooling(where, tuple(range(f.n_rows)), (1 << f.n_cols) - 1)
-    for z, cells in enumerate(taken):
-        cells = [(i, bit.bit_length() - 1) for i, bit in cells]
-        assert all(f.value(i, j) == z for i, j in cells)
-        for (i1, j1), (i2, j2) in itertools.combinations(cells, 2):
+    nc = f.n_cols
+    cells = [sum(1 << (i * nc + j) for i, j in f.z_cells(z)) for z in (0, 1)]
+    taken = [[divmod(bit, nc) for bit in _mask_to_indices(
+        _greedy_blocked_fooling(cells[z], cells[1 - z], f.n_rows, nc, f.n_rows * nc))]
+        for z in (0, 1)]
+    for z, picked in enumerate(taken):
+        assert all(f.value(i, j) == z for i, j in picked)
+        for (i1, j1), (i2, j2) in itertools.combinations(picked, 2):
             assert 1 - z in (f.value(i1, j2), f.value(i2, j1))
     assert sum(map(len, taken)) <= 2 ** exact_deterministic_cc(f)[0]
 

@@ -21,6 +21,7 @@ identity evaluated term by term.
 import itertools
 import math
 import random
+import sys
 from collections import Counter, deque
 from dataclasses import replace
 
@@ -258,8 +259,8 @@ def relabeled(om, rng):
 
 Z2 = OrderedMonoid(FiniteMonoid(2, 0, ((0, 1), (1, 0)), ("", "g"), (("g", 1),)),
                    StableOrder.equality(2))
-# g^3 has no word shorter than the screen's words, so division by Z4 never
-# takes the copy search
+# g^3 is a word as long as the screen's longest, and division by Z4 still
+# takes the copy search, which follows Z4's Cayley tree to any depth
 Z4 = OrderedMonoid(
     FiniteMonoid(4, 0, tuple(tuple((i + j) % 4 for j in range(4)) for i in range(4)),
                  ("", "g", "gg", "ggg"), (("g", 1),)),
@@ -288,10 +289,11 @@ def division_cases():
 
 @pytest.fixture
 def exits(monkeypatch):
-    """``divides`` that counts the exit each call takes: ``ds`` before any
-    search, ``copy`` from the copy search, ``closure`` from closing the
-    screen's survivors, ``larger`` when that closure is larger than the
-    divisor, and ``refuted`` after both searches."""
+    """``divides`` that counts the exit each call takes, and keeps the last
+    one as ``exit``: ``ds`` before any search, ``copy`` from the copy
+    search, ``closure`` from closing the screen's survivors, ``larger``
+    when that closure is larger than the divisor, and ``refuted`` after
+    both searches."""
     calls = []
     for name in ("_least_copy", "_screened_blocks"):
         def spy(*args, real=getattr(monoid, name), name=name):
@@ -306,15 +308,17 @@ def exits(monkeypatch):
         got = divides(n_om, m_om)
         if not calls:
             assert got == (False, None)
-            counts["ds"] += 1
+            exit = "ds"
         elif calls[0][1] is not None:
             assert [name for name, _ in calls] == ["_least_copy"]
             assert len(got[1][2]) == n_om.size
-            counts["copy"] += 1
+            exit = "copy"
         elif got[0]:
-            counts["larger" if len(got[1][2]) > n_om.size else "closure"] += 1
+            exit = "larger" if len(got[1][2]) > n_om.size else "closure"
         else:
-            counts["refuted"] += 1
+            exit = "refuted"
+        counts[exit] += 1
+        counted.exit = exit
         return got
 
     counted.counts = counts
@@ -324,19 +328,61 @@ def exits(monkeypatch):
 def test_divides_matches_exhaustive_oracle(exits):
     cases = division_cases()
     assert len(cases) >= 800
-    dividing = Counter()
+    dividing, copies = Counter(), Counter()
     for n_om, m_om in cases:
         ok, cert = exits(n_om, m_om)
         want_ok, want_closure = exhaustive_divides(n_om, m_om)
         assert ok == want_ok
         if ok:
             dividing[n_om is Z4] += 1
+            copies[n_om is Z4] += exits.exit == "copy"
             assert cert[2] == want_closure
             assert division_map(n_om, m_om, cert[0]) == cert[1]
     assert dividing[False] >= 10 and dividing[True] >= 1
-    # every exit is taken; Z4 divides by closing alone
-    assert set(exits.counts) == {"ds", "copy", "closure", "larger", "refuted"}, exits.counts
-    assert exits.counts["closure"] == dividing[True], exits.counts
+    # the closure exit never returns a closure of the divisor's size: that
+    # one is a copy, so Z4 divides through the copy search like the rest
+    assert exits.counts["closure"] == 0, exits.counts
+    assert exits.counts["larger"] >= 1, exits.counts
+    assert set(exits.counts) == {"ds", "copy", "larger", "refuted"}, exits.counts
+    assert copies[True] == dividing[True], (copies, dividing)
+
+
+def test_copy_answers_run_no_closure(monkeypatch):
+    # a copy's map is read off the copy search's values, so division_map
+    # runs only in the closure exit, never on a copy answer
+    closed, copies = [], []
+
+    def closing(*args, real=monoid.division_map, **kwargs):
+        closed.append(args)
+        return real(*args, **kwargs)
+
+    def copying(*args, real=monoid._least_copy):
+        copies.append(real(*args))
+        return copies[-1]
+
+    monkeypatch.setattr(monoid, "division_map", closing)
+    monkeypatch.setattr(monoid, "_least_copy", copying)
+    answered = 0
+    for n_om, m_om in division_cases():
+        closed.clear()
+        copies.clear()
+        got = divides(n_om, m_om)
+        if copies and copies[0] is not None:
+            assert got[0] and not closed
+            answered += 1
+    assert answered >= 10
+
+
+def test_copy_search_follows_a_tree_past_the_recursion_limit(monkeypatch):
+    # the chain 1, g, ..., g^k = g^(k+1) has least words as long as its
+    # size, so the copy search evaluates m(u_e) down a path that deep
+    k = sys.getrecursionlimit() + 10
+    table = tuple(tuple(min(i + j, k) for j in range(k + 1)) for i in range(k + 1))
+    chain = OrderedMonoid.with_equality(
+        FiniteMonoid(k + 1, 0, table, tuple("g" * i for i in range(k + 1)), (("g", 1),)))
+    monkeypatch.setattr(monoid, "division_map", None)
+    ok, (preimages, image, closure) = divides(chain, chain)
+    assert ok and preimages == (1,) and image == {x: x for x in range(k + 1)}
 
 
 def test_in_ds_matches_identity_oracle(monkeypatch):

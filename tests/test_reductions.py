@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -199,6 +200,16 @@ def test_report_serialization():
     rep = verify_reduction(builtin_reduction("pdisj_to_ipq"), 3)
     text = rep.serialize()
     assert "status: PASS" in text and "n_range: 1..3" in text
+
+
+def test_append_ones_replay_does_not_build_the_instance():
+    # a cell's decision counts the common ones of x and y and adds q, so a
+    # q of 10^9 replays as fast as q = 2 and checks the same pairs
+    want = verify_reduction(builtin_reduction("pdisj_to_ipq", q=2), 3)
+    start = time.perf_counter()
+    got = verify_reduction(builtin_reduction("pdisj_to_ipq", q=10 ** 9), 3)
+    assert time.perf_counter() - start < 1
+    assert (got.status, got.checked_pairs) == ("PASS", want.checked_pairs)
 
 
 def test_reduction_descriptor_serialization():
