@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass, replace
 
@@ -466,7 +467,8 @@ def min_cover(f: CommFunction, z: int):
     """Exact minimum number of z-monochromatic rectangles covering the
     z-cells.  Rectangles may overlap and may include undefined cells.
     Returns (count, Cover).  Branch and bound over maximal rectangles with
-    a greedy incumbent."""
+    a greedy incumbent, stopped once the incumbent meets a certified floor
+    (``_cover_floor``)."""
     if z not in (0, 1):
         raise CcError("color must be 0 or 1")
     if f.count(z) == 0:
@@ -491,7 +493,11 @@ def min_cover(f: CommFunction, z: int):
     if any(UNDEF in row for row in f.rows):
         candidates = _undominated(candidates, budget)
 
-    count, picked = _set_cover_exact(universe, candidates, budget)
+    def floor(cap):
+        forbid = sum(m << (r * nc) for r, m in enumerate(masks[1 - z]))
+        return _cover_floor(universe, forbid, nr, nc, cap)
+
+    count, picked = _set_cover_exact(universe, candidates, budget, floor)
     rects = tuple(_rectangle(row_groups, col_groups, ext, inte)
                   for ext, inte, _ in picked)
     return count, Cover(z, rects)
@@ -518,16 +524,57 @@ def _undominated(candidates, budget):
     return kept
 
 
-def _set_cover_exact(universe, candidates, budget):
+class _FloorReached(Exception):
+    """Ends a branch and bound whose incumbent has met its lower bound."""
+
+
+def _crown_floor(universe, forbid, nr, nc):
+    """The least k with C(k, floor(k/2)) >= m, for a greedy crown of m
+    cells of ``forbid`` whose crossing cells all lie in ``universe``.
+
+    Give each crown cell (r_a, c_a) the rectangles holding row r_a (A_a)
+    and those holding column c_a (B_a).  No rectangle avoiding ``forbid``
+    holds (r_a, c_a), so A_a and B_a are disjoint; one covering
+    (r_a, c_b) lies in both A_a and B_b.  Bollobas's set-pair theorem
+    then bounds m by C(k, floor(k/2)) for a cover by k rectangles.  Each
+    step takes the lowest cell (r, c) left and keeps the cells (r', c')
+    with (r', c) and (r, c') in ``universe``: column c of ``universe``
+    spread along the rows times its row r repeated down them."""
+    row = (1 << nc) - 1
+    rep = ((1 << (nr * nc)) - 1) // row       # bit 0 of every row
+    left, m = forbid, 0
+    while left:
+        r, c = divmod((left & -left).bit_length() - 1, nc)
+        m += 1
+        left &= (universe >> c & rep) * (universe >> (r * nc) & row)
+    k = 0
+    while math.comb(k, k // 2) < m:
+        k += 1
+    return k
+
+
+def _cover_floor(universe, forbid, nr, nc, cap):
+    """A lower bound on the rectangles avoiding ``forbid`` that cover
+    ``universe``: the larger of the crown bound and the size of a greedy
+    fooling set, whose search stops past ``cap`` cells."""
+    return max(_crown_floor(universe, forbid, nr, nc),
+               _greedy_blocked_fooling(universe, forbid, nr, nc, cap).bit_count())
+
+
+def _set_cover_exact(universe, candidates, budget, floor):
     """Exact minimum set cover by branch and bound; candidates are
     (ext, inte, cover_mask) triples, deterministic order.
 
     A child with uncovered cells U is entered only while its picks plus
     need(U) = ceil(|U| / max_c |c & U|) can beat the incumbent.  The
     parent's maximum bounds the child's from above, so the free check
-    with it runs first and the exact one second.  Charges ``budget``, which
-    raises CapError past its cap: one unit per child checked, one per
-    candidate per coverage evaluation."""
+    with it runs first and the exact one second.  When the root's need
+    is below the greedy incumbent, ``floor(incumbent)`` gives a second
+    lower bound, and the search stops once the incumbent meets the larger
+    one: the subtrees it skips hold no strictly better cover, so the
+    cover returned is the same.  Charges ``budget``, which raises CapError
+    past its cap: one unit per child checked, one per candidate per
+    coverage evaluation."""
     # the candidates' masks as rows of little-endian uint64 words
     n_bytes = 8 * ((universe.bit_length() + 63) // 64)
     data = b"".join(c[2].to_bytes(n_bytes, "little") for c in candidates)
@@ -577,6 +624,8 @@ def _set_cover_exact(universe, candidates, budget):
             if not left:
                 if picked < best_count:
                     best_count, best_sel = picked, sel + [c]
+                    if best_count == low:
+                        raise _FloorReached
             elif picked + -(-left // most) < best_count:
                 child_most = coverage(rest)
                 if picked + -(-left // child_most) < best_count:
@@ -585,8 +634,14 @@ def _set_cover_exact(universe, candidates, budget):
                     sel.pop()
 
     most = max(c[2].bit_count() for c in candidates)
-    if -(-universe.bit_count() // most) < best_count:
-        dfs(0, [], most)
+    low = -(-universe.bit_count() // most)
+    if low < best_count:
+        low = max(low, floor(best_count))
+        if low < best_count:
+            try:
+                dfs(0, [], most)
+            except _FloorReached:
+                pass
     return best_count, best_sel
 
 
@@ -673,12 +728,13 @@ def _greedy_blocked_fooling(left, forbid, nr, nc, cap):
     ``forbid``: row r of ``forbid`` repeated down the rows, or its column c
     spread along them.  Stops once the set holds more than ``cap`` cells.
 
-    Both searches that bound by a fooling set call it: the partition
+    Every search that bounds by a fooling set calls it: the partition
     search (``_Partitions``) on the cells a color has left against the
-    other color's and the blocked ones, and the depth search
+    other color's and the blocked ones, the depth search
     (``exact_deterministic_cc``) on a rectangle's z-cells against the
     whole matrix's 1-z cells, whose crossing cells with two cells of the
-    rectangle lie in the rectangle."""
+    rectangle lie in the rectangle, and the cover's floor
+    (``_cover_floor``) on the z-cells against the 1-z cells."""
     row = (1 << nc) - 1
     rep = ((1 << (nr * nc)) - 1) // row       # bit 0 of every row
     found = size = 0

@@ -994,14 +994,19 @@ def tq_period(m: FiniteMonoid, e: int, f: int) -> int | None:
 
 def find_tq(m: FiniteMonoid):
     """First idempotent pair (e, f) that is a T_q pair (``tq_period``);
-    returns (q, e, f) or None."""
+    returns (q, e, f) or None.
+
+    With e idempotent, (ef)^i e = (efe)^i, so the orbit first returns to e
+    at i = q exactly when efe has index 1, period q and idempotent power
+    e: read from ``cycles``, with no orbit walked."""
     mono = m.monoid if isinstance(m, OrderedMonoid) else m
+    table, cycles = mono.table, mono.cycles
     idems = mono.idempotents()
     for e in idems:
         for f in idems:
-            q = tq_period(mono, e, f)
-            if q is not None:
-                return q, e, f
+            index, period, omega = cycles[table[table[e][f]][e]]
+            if index == 1 and period > 1 and omega == e:
+                return period, e, f
     return None
 
 

@@ -22,8 +22,8 @@ from regcc.commcc import (
 )
 from regcc.commcc import (
     _batch_ranks, _cells, _closed_rectangles, _completion_ranks, _concepts,
-    _greedy_blocked_fooling, _mask_to_indices, _merged, _rank_q, _split_tables,
-    _undominated,
+    _cover_floor, _crown_floor, _greedy_blocked_fooling, _mask_to_indices,
+    _merged, _rank_q, _split_tables, _undominated,
 )
 from regcc.monoid import (
     FiniteMonoid, OrderedMonoid, ideal_generated, syntactic_ordered_monoid,
@@ -64,12 +64,12 @@ def brute_min_cover(f, z):
     raise AssertionError
 
 
-def reference_set_cover(universe, candidates, budget=None):
+def reference_set_cover(universe, candidates, budget=None, floor=None):
     """Oracle: the minimum-cover branch and bound with one global bound,
-    ceil(|uncovered| / largest candidate), for every node, unmetered.  Its
-    branching cell, candidate order and strict-improvement incumbent rule
-    are those of ``commcc._set_cover_exact``, so the two return the same
-    cover."""
+    ceil(|uncovered| / largest candidate), for every node, unmetered, and
+    no floor to stop at: ``floor`` is ignored.  Its branching cell,
+    candidate order and strict-improvement incumbent rule are those of
+    ``commcc._set_cover_exact``, so the two return the same cover."""
     cell_cands = {}
     for idx in _mask_to_indices(universe):
         cell_cands[idx] = [c for c in candidates if c[2] >> idx & 1]
@@ -169,7 +169,7 @@ def cover_candidates(f, z):
     """The candidate list ``min_cover`` hands its search."""
     seen = []
 
-    def capture(universe, candidates, budget):
+    def capture(universe, candidates, budget, floor):
         seen.append(candidates)
         return reference_set_cover(universe, candidates)
 
@@ -761,6 +761,48 @@ def test_dominance_filter_keeps_every_candidate_on_total_matrices(rows, z):
     assert _undominated(candidates, commcc._Budget("set-cover")) == candidates
 
 
+def flat_cells(rows, ch):
+    """The cells of ``rows`` holding ``ch``, as flat bits r * nc + c."""
+    nc = len(rows[0])
+    return sum(1 << (r * nc + c) for r, row in enumerate(rows)
+               for c, x in enumerate(row) if x == ch)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(matrices("01*", 6, 6), st.sampled_from((0, 1)))
+def test_cover_floor_is_at_most_the_least_cover(rows, z):
+    # the crown and the greedy fooling set each certify a lower bound, on
+    # the unmerged matrix too
+    f = as_function(rows)
+    assume(f.count(z) > 0)
+    nr, nc = len(rows), len(rows[0])
+    universe, forbid = flat_cells(rows, str(z)), flat_cells(rows, str(1 - z))
+    assert _cover_floor(universe, forbid, nr, nc, nr * nc) <= brute_min_cover(f, z)
+
+
+def test_crown_floor_of_eq_color_0():
+    # EQ_n's 0-cells are the complement of a perfect matching, a crown on
+    # all 2^n 1-cells: k rectangles need C(k, k // 2) >= 2^n, more than a
+    # greedy fooling set shows
+    for n, want in ((2, 4), (3, 5), (4, 6)):
+        rows = builtin_function("EQ", n).rows
+        universe, forbid = flat_cells(rows, "0"), flat_cells(rows, "1")
+        assert _crown_floor(universe, forbid, 2 ** n, 2 ** n) == want
+        fooling = _greedy_blocked_fooling(universe, forbid, 2 ** n, 2 ** n, want)
+        assert fooling.bit_count() < want
+
+
+def test_cover_search_stops_at_its_floor():
+    # EQ_3 color 0 and NEQ_3 color 1 are one 8x8 crown; the search stops at
+    # its first cover of 5 rectangles, the crown floor, instead of proving
+    # 4 impossible node by node
+    for name, z in (("EQ", 0), ("NEQ", 1)):
+        f = builtin_function(name, 3)
+        (count, cover), units = spent_by(min_cover, f, z)
+        assert count == len(cover.rectangles) == 5
+        assert units == 125_231
+
+
 def test_min_cover_neq_frozen():
     # value recorded from the exhaustive oracle
     f = builtin_function("NEQ", 2)
@@ -1036,7 +1078,7 @@ def test_cover_and_clique_searches_raise_past_their_node_caps(monkeypatch):
     f = builtin_function("EQ", 3)
     assert min_cover(f, 0)[0] == 5
     assert len(max_fooling_set(f, 0)) == 3
-    # on color 0, EQ_3 takes 1 081 532 cover and 4 372 clique work units;
+    # on color 0, EQ_3 takes 125 231 cover and 4 372 clique work units;
     # PDISJ_3's depth search takes 358 116
     monkeypatch.setattr(commcc, "WORK_CAP", 1000)
     with pytest.raises(CapError, match="set-cover"):
@@ -1471,7 +1513,7 @@ def reference_protocol_tree(row_groups, col_groups, masks):
 
 
 def spent_by(search, *args):
-    """search(*args) and the units its depth meter spent."""
+    """search(*args) and the units its last work meter spent."""
     budgets = []
 
     class Recorded(commcc._Budget):

@@ -7,9 +7,10 @@ code: the table by composing every pair of state maps, the order by
 comparing state maps through the state inclusions and again by context
 implication over all pairs of monoid elements, the maximal subgroups by a
 pairwise inverse search in each local monoid eMe, the exponent and the
-division candidates by walking powers afresh, division by an exhaustive
-search over every submonoid and every surjective order-preserving
-morphism onto the divisor, and the witnesses by scans over every word
+division candidates by walking powers afresh, the first T_q pair by
+walking each orbit (ef)^i e, division by an exhaustive search over every
+submonoid and every surjective order-preserving morphism onto the
+divisor, and the witnesses by scans over every word
 (and every interleaving) up to the length bound.  Most are exponential or
 cubic, so the random inputs are small and seeded.  Beyond the exhaustive
 oracle's reach, division is checked against the unscreened search: one
@@ -39,8 +40,9 @@ from regcc.classify import (
 from regcc.monoid import (
     FiniteMonoid, OrderedMonoid, StableOrder, _preimage_candidates,
     OrderIdeal, check_property, commutative_quotient, divides, division_map,
-    eval_term, eval_word, exponent, identity_counterexample, ideal_generated,
-    maximal_subgroups, syntactic_ordered_monoid, transition_monoid,
+    eval_term, eval_word, exponent, find_tq, identity_counterexample,
+    ideal_generated, maximal_subgroups, syntactic_ordered_monoid, tq_period,
+    transition_monoid,
 )
 
 
@@ -504,6 +506,47 @@ def test_cycle_table_beyond_a_thousand():
     om, _, _ = syntactic_ordered_monoid(seeded_binary_dfa(186, 7))
     assert om.size == 1011
     check_cycle_table(om)
+
+
+# --- oracle: the T_q orbit walk ---------------------------------------------
+
+def orbit_tq_period(m, e, f):
+    """q when the orbit (ef)^i e, i >= 1, of idempotents e and f first
+    returns to e at i = q > 1, else None, by walking the orbit."""
+    ef = m.mul(e, f)
+    x, seen = m.mul(ef, e), [e]
+    while x not in seen:
+        seen.append(x)
+        x = m.mul(ef, x)
+    return len(seen) if x == e and len(seen) > 1 else None
+
+
+def orbit_find_tq(m):
+    """The first idempotent pair with an orbit period, as (q, e, f)."""
+    idems = m.idempotents()
+    return next(((q, e, f) for e in idems for f in idems
+                 if (q := orbit_tq_period(m, e, f)) is not None), None)
+
+
+def test_find_tq_matches_orbit_walk():
+    monoids = [om.monoid for om in
+               itertools.islice(random_monoids(20261028, 700, (1, 200)), 400)]
+    monoids += [builtin_monoid("TQ_EXAMPLE", q=q)[0].monoid for q in (2, 3, 4, 5)]
+    found = pairs = 0
+    for m in monoids:
+        want = orbit_find_tq(m)
+        assert find_tq(m) == want
+        found += want is not None
+        # every pair: the cycle-table reading is the orbit's period
+        for e in m.idempotents():
+            for f in m.idempotents():
+                q = orbit_tq_period(m, e, f)
+                assert tq_period(m, e, f) == q
+                index, period, omega = m.cycles[m.mul(m.mul(e, f), e)]
+                assert (index == 1 and period > 1 and omega == e) == (q is not None)
+                assert q is None or q == period
+                pairs += q is not None
+    assert found >= 30 and pairs >= 300
 
 
 # --- oracle: one closure per tuple of candidate preimages -------------------
