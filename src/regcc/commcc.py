@@ -414,6 +414,13 @@ def _merged(f: CommFunction):
     return list(rows.values()), list(cols.values()), masks
 
 
+def _flat(row_masks, nc):
+    """The flat cells of per-row column masks, bit r * nc + c for column c
+    of row r: one binary numeral of the rows, last row first, so linear
+    in the cells (a sum of shifted masks is quadratic in the rows)."""
+    return int("".join(format(mask, "0%db" % nc) for mask in reversed(row_masks)), 2)
+
+
 def _cells(rows_mask, cols_mask, nc):
     """Flat cell bits of the merged rectangle rows_mask x cols_mask."""
     out = 0
@@ -478,7 +485,7 @@ def min_cover(f: CommFunction, z: int):
     if nr > COVER_CAP or nc > COVER_CAP:
         raise CapError("cover search capped at %dx%d distinct rows/columns"
                        % (COVER_CAP, COVER_CAP))
-    universe = sum(m << (r * nc) for r, m in enumerate(masks[z]))
+    universe = _flat(masks[z], nc)
 
     candidates = []
     for ext, inte in _concepts(masks[1 - z], nc):
@@ -494,8 +501,7 @@ def min_cover(f: CommFunction, z: int):
         candidates = _undominated(candidates, budget)
 
     def floor(cap):
-        forbid = sum(m << (r * nc) for r, m in enumerate(masks[1 - z]))
-        return _cover_floor(universe, forbid, nr, nc, cap)
+        return _cover_floor(universe, _flat(masks[1 - z], nc), nr, nc, cap)
 
     count, picked = _set_cover_exact(universe, candidates, budget, floor)
     rects = tuple(_rectangle(row_groups, col_groups, ext, inte)
@@ -996,7 +1002,7 @@ def min_disjoint_cover(f: CommFunction):
     if nr > DISJOINT_CAP or nc > DISJOINT_CAP:
         raise CapError("disjoint-cover search capped at %dx%d distinct rows/columns"
                        % (DISJOINT_CAP, DISJOINT_CAP))
-    z_cells = [sum(m << (r * nc) for r, m in enumerate(masks[z])) for z in (0, 1)]
+    z_cells = [_flat(masks[z], nc) for z in (0, 1)]
     defined = z_cells[0] | z_cells[1]
     undefined = ((1 << (nr * nc)) - 1) & ~defined
     if not undefined:
@@ -1224,10 +1230,8 @@ def _protocol_tree(row_groups, col_groups, masks):
     # base[r][c]: the merged cell as -1 (undefined), 0 or 1
     base = [tuple(0 if zeros >> c & 1 else 1 if ones >> c & 1 else -1 for c in range(nc))
             for zeros, ones in zip(*masks)]
-    # each color's cells and the undefined ones as flat bits r * nc + c,
-    # each color read as one binary numeral of its rows, last row first
-    cells = [int("".join(format(mask, "0%db" % nc) for mask in reversed(rows)), 2)
-             for rows in masks]
+    # each color's cells and the undefined ones as flat bits r * nc + c
+    cells = [_flat(rows, nc) for rows in masks]
     undefined = ((1 << (nr * nc)) - 1) & ~(cells[0] | cells[1])
     memo = {}  # canonical content -> [depth or lower bound, exact]
     by_rect = {}  # rows mask << nc | cols mask -> its memo entry
@@ -1494,45 +1498,24 @@ def simulate_cover_protocol(f: CommFunction, cover: Cover, x: int, y: int):
     validate_disjoint_cover(f, cover)
     rects = list(cover.rectangles)
     colored = [(r, monochromatic_color(f, r, vacuous=0)) for r in rects]
-    zero_rects = [r for r, color in colored if color == 0]
     one_rects = [r for r, color in colored if color == 1]
     name_bits = _log2ceil(len(rects))
-    live = list(zero_rects)
+    live = [r for r, color in colored if color == 0]
     bits = 0
-    while True:
-        if not live:
-            bits += 1
-            return 1, bits
-        half = len(live) / 2
-
-        found = None
-        for r1 in one_rects:
-            if x not in r1.rows:
-                continue
-            hits = [r0 for r0 in live if set(r0.rows) & set(r1.rows)]
-            if len(hits) <= half:
-                found = (r1, hits)
+    while live:
+        for side, mine in (("rows", x), ("cols", y)):
+            bits += 1  # the player's found/failed flag; Bob's failure is the 0-answer
+            hits = next((hits for r1 in one_rects if mine in getattr(r1, side)
+                         for hits in [[r0 for r0 in live
+                                       if set(getattr(r0, side)) & set(getattr(r1, side))]]
+                         if len(hits) <= len(live) / 2), None)
+            if hits is not None:
+                bits += name_bits
+                live = hits
                 break
-        bits += 1  # Alice's found/failed flag
-        if found:
-            bits += name_bits
-            live = found[1]
-            continue
-
-        found = None
-        for r1 in one_rects:
-            if y not in r1.cols:
-                continue
-            hits = [r0 for r0 in live if set(r0.cols) & set(r1.cols)]
-            if len(hits) <= half:
-                found = (r1, hits)
-                break
-        bits += 1  # Bob's flag doubles as the 0-answer
-        if found:
-            bits += name_bits
-            live = found[1]
-            continue
-        return 0, bits
+        else:
+            return 0, bits
+    return 1, bits + 1
 
 
 # ---------------------------------------------------------------------------

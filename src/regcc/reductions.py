@@ -24,7 +24,8 @@ from .classify import (
     is_shuffle_witness,
 )
 from .commcc import (
-    MATERIALIZE_CAP, UNDEF, CommFunction, _Budget, _fold, builtin_function,
+    MATERIALIZE_CAP, UNDEF, CommFunction, _Budget, _automaton, _fold,
+    builtin_function,
 )
 from .monoid import (
     OrderIdeal, OrderedMonoid, eval_word, find_tq, ideal_generated,
@@ -209,9 +210,11 @@ class PositionReduction(RectangularReduction):
 @dataclass(frozen=True)
 class AppendOnesReduction(RectangularReduction):
     """Function-to-function reduction: both players append q ones, turning
-    promise disjointness into the inner-product predicate.  It is replayed
-    cell by cell: IP_q's automaton stops counting at ``MATERIALIZE_CAP`` + 1
-    states, so the q appended (1, 1) pairs cannot be folded on it once q > 12."""
+    promise disjointness into the inner-product predicate.  The q appended
+    (1, 1) pairs add q common ones, 0 modulo q, so the instance of (x, y)
+    takes IP_q's value at (x, y), and the replay folds IP_q's own bit-pair
+    automaton, which counts every length up to ``MATERIALIZE_CAP`` exactly
+    whatever q is."""
 
     q: int = 2
 
@@ -250,11 +253,11 @@ def verify_reduction(reduction, n_max: int) -> VerificationReport:
     number of checked pairs.  Raises CapError before the first pair when
     n_max exceeds MATERIALIZE_CAP, and past WORK_CAP pairs: each length's
     defined cells are charged before it is replayed.  Each length is
-    checked in one pass: its replayed rows (see ``_replayer``), joined,
-    are compared with the source's joined rows, and only when the two
-    strings differ, which they do wherever the source has a ``*`` cell,
-    does one masked byte comparison over the defined cells find the first
-    cell that differs and the count checked up to it.
+    checked in one pass: its replayed rows, the next level of
+    ``_replayer``, joined, are compared with the source's joined rows, and
+    only when the two strings differ, which they do wherever the source
+    has a ``*`` cell, does one masked byte comparison over the defined
+    cells find the first cell that differs and the count checked up to it.
     """
     if n_max < 1:
         raise CcError("verification needs n_max >= 1")
@@ -262,14 +265,14 @@ def verify_reduction(reduction, n_max: int) -> VerificationReport:
         raise CapError("verify: n_max=%d outside materialization range 1..%d"
                        % (n_max, MATERIALIZE_CAP))
     budget = _Budget("verify")
-    replay = _replayer(reduction)
+    levels = _replayer(reduction)
     checked = 0
     for n in range(1, n_max + 1):
         f = reduction.source(n)
         want = "".join(f.rows)
         defined = len(want) - want.count(UNDEF)
         budget.charge(defined)
-        got = "".join(replay(f))
+        got = "".join(next(levels))
         if want != got:
             expected = np.frombuffer(want.encode(), dtype=np.uint8)
             mask = expected != ord(UNDEF)
@@ -286,33 +289,33 @@ def verify_reduction(reduction, n_max: int) -> VerificationReport:
 
 
 def _replayer(reduction):
-    """The replay of one length: source matrix -> one "0"/"1" string per
-    row, the reduction's decision at each column.  Lengths are asked for
-    in order 1, 2, ....  Rows and columns are indexed as
-    ``builtin_function`` labels them, by the n-bit numeral."""
-    if isinstance(reduction, AppendOnesReduction):
-        return lambda f: _scalar_rows(reduction, f)
+    """Replayed rows at n = 1, 2, ...: one "0"/"1" string per row, the
+    reduction's decision at each column, every cell filled.  Rows and
+    columns are indexed as ``builtin_function`` labels them, by the n-bit
+    numeral.  A position reduction is read off its closed form; a local
+    or append-ones reduction is a bit-pair automaton, folded."""
     if isinstance(reduction, PositionReduction):
-        levels = _position_levels(reduction)
-    else:
-        levels = _local_levels(reduction)
-    return lambda f: next(levels)
+        return _position_levels(reduction)
+    if isinstance(reduction, AppendOnesReduction):
+        # the instance of (x, y) takes IP_q's value at (x, y)
+        _, maps, cells = _automaton("IP", reduction.q, None)
+        return _fold_levels(0, maps, _verdict(reduction, (c == "1" for c in cells)))
+    return _local_levels(reduction)
 
 
-def _scalar_rows(reduction, f: CommFunction) -> list[str]:
-    """``decides_one`` on every defined cell, ``UNDEF`` elsewhere: the
-    replay of a reduction with no target to fold."""
-    return ["".join(UNDEF if w == UNDEF else str(int(reduction.decides_one(x, y)))
-                    for y, w in zip(f.col_labels, want))
-            for x, want in zip(f.row_labels, f.rows)]
-
-
-def _verdict(reduction, action) -> str:
-    """"1" or "0" per state: the reduction's decision once the state has
-    gone through ``action``."""
+def _verdict(reduction, accepted) -> str:
+    """"1" or "0" per state: the reduction's decision at a state whose
+    instance is accepted or not."""
     inside, outside = ("1", "0") if reduction.polarity == ACCEPT_IS_ONE else ("0", "1")
-    accepting = reduction.target.accepting
-    return "".join(inside if s in accepting else outside for s in action)
+    return "".join(inside if a else outside for a in accepted)
+
+
+def _fold_levels(start, maps, verdict):
+    """Rows at n = 1, 2, ... of the bit-pair automaton whose pair (a, b)
+    moves state s to ``maps[a][b][s]``, run from ``start``, each final
+    state read through ``verdict``."""
+    reads = _fold(start, len(verdict), itertools.repeat(maps))
+    return (read(verdict) for read in itertools.islice(reads, 1, None))
 
 
 def _interleaved(alice, bob) -> list:
@@ -332,9 +335,8 @@ def _local_levels(r: LocalReduction):
     start = target.action(_interleaved(r.alice_prefix, r.bob_prefix))[target.start]
     blocks = tuple(tuple(target.action(_interleaved(r.alice[x], r.bob[y]))
                          for y in (0, 1)) for x in (0, 1))
-    verdict = _verdict(r, target.action(_interleaved(r.alice_suffix, r.bob_suffix)))
-    reads = _fold(start, len(verdict), itertools.repeat(blocks))
-    return (read(verdict) for read in itertools.islice(reads, 1, None))
+    suffix = target.action(_interleaved(r.alice_suffix, r.bob_suffix))
+    return _fold_levels(start, blocks, _verdict(r, (s in target.accepting for s in suffix)))
 
 
 def _position_levels(r: PositionReduction):
@@ -347,8 +349,8 @@ def _position_levels(r: PositionReduction):
     ``a b`` on the rest.
     """
     target = r.target
-    v_ab, v_ba = _verdict(r, (target.action((r.a, r.b))[target.start],
-                              target.action((r.b, r.a))[target.start]))
+    v_ab, v_ba = _verdict(r, (target.action(pair)[target.start] in target.accepting
+                              for pair in ((r.a, r.b), (r.b, r.a))))
     for n in itertools.count(1):
         t = 1 << n
         yield [v_ba * x + v_ab * (t - x) for x in range(t)]

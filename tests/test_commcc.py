@@ -628,10 +628,10 @@ def test_local_reduction_onto_more_than_a_byte_of_states():
         r = LocalReduction("random", source, (words(2), words(2)), (words(2), words(2)),
                            words(1), words(1), words(1), words(1), target,
                            ACCEPT_IS_ONE, q)
-        replay = _replayer(r)
+        levels = _replayer(r)
         for n in range(1, 5):
             f = r.source(n)
-            assert list(replay(f)) == [
+            assert list(next(levels)) == [
                 "".join(str(int(r.decides_one(x, y))) for y in f.col_labels)
                 for x in f.row_labels]
 

@@ -203,13 +203,22 @@ def test_report_serialization():
 
 
 def test_append_ones_replay_does_not_build_the_instance():
-    # a cell's decision counts the common ones of x and y and adds q, so a
-    # q of 10^9 replays as fast as q = 2 and checks the same pairs
+    # the replay folds IP_q's automaton, at most MATERIALIZE_CAP + 1 states
+    # whatever q is, so a q of 10^9 replays as fast as q = 2 and checks the
+    # same pairs
     want = verify_reduction(builtin_reduction("pdisj_to_ipq", q=2), 3)
     start = time.perf_counter()
     got = verify_reduction(builtin_reduction("pdisj_to_ipq", q=10 ** 9), 3)
     assert time.perf_counter() - start < 1
     assert (got.status, got.checked_pairs) == ("PASS", want.checked_pairs)
+
+
+def test_append_ones_replay_is_one_fold():
+    # 4 + 16 + ... + 4^12 cells less PDISJ's undefined ones
+    start = time.perf_counter()
+    report = verify_reduction(builtin_reduction("pdisj_to_ipq"), 12)
+    assert time.perf_counter() - start < 3
+    assert (report.status, report.checked_pairs) == ("PASS", 3_852_946)
 
 
 def test_reduction_descriptor_serialization():
@@ -257,10 +266,10 @@ def assert_fold_matches(reduction, n_max):
     (undefined ones too, where the replay fills them) is ``decides_one``."""
     report = verify_reduction(reduction, n_max)
     assert report == scalar_replay(reduction, n_max)
-    replay = _replayer(reduction)
+    levels = _replayer(reduction)
     for n in range(1, n_max + 1):
         f = reduction.source(n)
-        for x, want, row in zip(f.row_labels, f.rows, replay(f)):
+        for x, want, row in zip(f.row_labels, f.rows, next(levels)):
             assert len(row) == len(want)
             for y, w, got in zip(f.col_labels, want, row):
                 if got != UNDEF or w != UNDEF:
@@ -327,6 +336,13 @@ def test_fold_matches_scalar_replay_on_builtin_reductions():
     om, _ = builtin_monoid("BA2_PLUS")
     a, b = om.monoid.generator_map["a"], om.monoid.generator_map["b"]
     assert assert_fold_matches(lt_reduction(om, b, a), 4).status == "PASS"
+    # the append-ones fold, with q past IP_q's MATERIALIZE_CAP + 1 states too
+    for q in (3, 13, 10 ** 9):
+        r = builtin_reduction("pdisj_to_ipq", q=q)
+        assert assert_fold_matches(r, 4).status == "PASS"
+        flip = replace(r, polarity=ACCEPT_IS_ZERO)
+        assert assert_fold_matches(flip, 4).counterexample \
+            == scalar_replay(flip, 4).counterexample == (1, "0", "0", 1, 0)
 
 
 def corrupted_builtins():
