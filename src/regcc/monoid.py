@@ -105,35 +105,17 @@ class FiniteMonoid:
         return True
 
     @functools.cached_property
-    def divisor_words(self):
-        """Words over the generators, for the division search with this
-        monoid as the divisor; built once per monoid.
-
-        Returns (words, values, cayley, generated).  ``words`` lists every
-        word of length 1 .. _SCREEN_LEN in shortlex order as (prefix index,
-        generator index), where index 0 is the empty word; ``values[j]``
-        is the value of word j, ``values[0]`` the identity.  ``cayley`` is
-        (tree, relations), the right Cayley graph as the shortlex BFS of
-        ``_canonical_names`` walks it: with u_e the least word of e, the
-        edge e --a--> ea is tree[ea] = (e, a) when u_e a is u_(ea), and
-        the relation (e, a, ea) when it is not.  ``generated`` says whether
-        the generators generate the monoid, that is, whether the tree
-        reaches every element.
-        """
-        gens = [g for _, g in self.generators]
-        words, values, frontier = [], [self.identity], [0]
-        for _ in range(_SCREEN_LEN):
-            grown = []
-            for w in frontier:
-                for i, g in enumerate(gens):
-                    words.append((w, i))
-                    values.append(self.table[values[w]][g])
-                    grown.append(len(values) - 1)
-            frontier = grown
+    def cayley(self):
+        """The right Cayley graph as (tree, relations), in the shortlex BFS
+        order of ``_canonical_names``, built once per monoid: with u_e the
+        least word of e, the edge e --a--> ea is tree[ea] = (e, a) when
+        u_e a is u_(ea), and the relation (e, a, ea) when it is not.  The
+        generators generate the monoid iff the tree reaches every element,
+        that is, iff it has size - 1 edges.  The division search reads its
+        divisor through this graph only."""
         _, tree, relations = _canonical_names(self.table, self.identity,
                                               self.generators, self.size)
-        generated = len(tree) == self.size - 1
-        return words, np.array(values, dtype=np.int32), (tree, relations), generated
+        return tree, relations
 
     def idempotents(self) -> list[int]:
         return [x for x in range(self.size) if self.table[x][x] == x]
@@ -775,16 +757,14 @@ def _preimage_candidates(m: FiniteMonoid, n: FiniteMonoid):
             for gs, gp in (start_period(n, g) for _, g in n.generators)]
 
 
-# words over the divisor's generators up to this length are evaluated for
-# every preimage tuple before it is closed
-_SCREEN_LEN = 3
-# preimage tuples screened per numpy block
-_SCREEN_BLOCK = 2048
-# array entries per numpy block of the copy search, whose relations drop
-# most tuples after one or two gathers: a tuple takes a row of the
-# divisor's |n| values and its k preimages, and |n|^2 entries for the
-# order check, so BA2+ and U+ (|n| = 6, k = 2) take 47 662 tuples a block
-_COPY_BLOCK = 1 << 21
+# int32 entries per numpy block of either division walk
+_BLOCK = 1 << 21
+
+
+def _block_tuples(width: int) -> int:
+    """Preimage tuples per numpy block of a walk that holds ``width``
+    entries per tuple, so that a block holds about _BLOCK entries."""
+    return max(1, _BLOCK // width)
 
 
 def _product_blocks(candidates, size):
@@ -839,7 +819,7 @@ def _least_copy(m_om: OrderedMonoid, n_om: OrderedMonoid, candidates):
     is m(u_e), with u_e the least word of e.
 
     Each u_e a, for a generator a, equals u_f in n for f = ea: it is u_f
-    itself (a tree edge of ``divisor_words``) or gives the relation u_e a
+    itself (a tree edge of ``cayley``) or gives the relation u_e a
     = u_f.  Take a tuple that meets every relation and whose |n| values
     m(u_e) are distinct.  Every word w has m(w) = m(u_(n(w))), by
     induction on the length of w: for w = va, m(w) = m(u_(n(v))) m(a) =
@@ -849,11 +829,12 @@ def _least_copy(m_om: OrderedMonoid, n_om: OrderedMonoid, candidates):
     n, one gather on ``leq_array``.  No closure is run.
     """
     m, n = m_om.monoid, n_om.monoid
-    _, _, cayley, _ = n.divisor_words
+    # a row of n's |n| values and k preimages, and |n|^2 entries for the
+    # order check: BA2+ and U+ (|n| = 6, k = 2) take 47 662 tuples a block
     width = n.size * (n.size + 1) + len(candidates)
     least = None
-    for tuples in _product_blocks(candidates, max(1, _COPY_BLOCK // width)):
-        rows = _related(m, n, tuples, *cayley)
+    for tuples in _product_blocks(candidates, _block_tuples(width)):
+        rows = _related(m, n, tuples, *n.cayley)
         if not len(rows):
             continue
         values = rows[:, :n.size]
@@ -879,28 +860,41 @@ def _least_copy(m_om: OrderedMonoid, n_om: OrderedMonoid, candidates):
 def _screened_blocks(m: FiniteMonoid, n: FiniteMonoid, candidates):
     """Walk the product of ``candidates`` in lexicographic blocks.
 
-    For each tuple, every word of length <= _SCREEN_LEN over n's generators
-    is evaluated in m (letter i read as the tuple's i-th element) and in n.
-    Yields, per block, the tuples in product order on which no two words
-    agree in m but differ in n, with the count of distinct m-values of
-    their words.  Both words lie in the closure of the tuple, so a
-    dropped tuple has no division map, and the count is a lower bound on
-    its closure size.  n's words are built once, in ``divisor_words``.
+    For each tuple, the words of n's Cayley graph are evaluated in m
+    (letter i read as the tuple's i-th element): u_e for each element e,
+    whose value in n is e, and u_e a for each relation (e, a, f), whose
+    value is f.  Yields, per block, two arrays: the tuples in product
+    order on which no two of these words agree in m but differ in n, and
+    the count of distinct m-values of their words.  Every word lies in the
+    closure of the tuple, so a dropped tuple has no division map, and the
+    count is a lower bound on its closure size.  m(u_e) comes from the
+    copy search's evaluator, ``_related`` with no relations, and each
+    relation word from one gather.
     """
-    words, n_values, _, _ = n.divisor_words
+    tree, relations = n.cayley
+    n_values = np.array(list(range(n.size)) + [f for _, _, f in relations])
+    # an (m-value, n-value) key is m << shift | n, an int64 taking two
+    # entries
+    shift = (n.size - 1).bit_length()
+    width = n.size + len(candidates) + 2 * len(n_values)
     table = m.table_array
-    for tuples in _product_blocks(candidates, _SCREEN_BLOCK):
-        m_values = np.empty((len(tuples), len(n_values)), dtype=np.int32)
-        m_values[:, 0] = m.identity
-        for j, (w, i) in enumerate(words, 1):
-            m_values[:, j] = table[m_values[:, w], tuples[:, i]]
-        # sorted (m-value, n-value) keys: an m-value with two n-values
-        # shows as equal neighbouring m-values with different keys
-        keys = np.sort(m_values.astype(np.int64) * n.size + n_values, axis=1)
-        tied = keys[:, 1:] // n.size == keys[:, :-1] // n.size
-        functional = ~(tied & (keys[:, 1:] != keys[:, :-1])).any(axis=1)
+    for tuples in _product_blocks(candidates, _block_tuples(width)):
+        rows = _related(m, n, tuples, tree, ())
+        keys = np.empty((len(rows), len(n_values)), dtype=np.int64)
+        keys[:, :n.size] = rows[:, :n.size]
+        for j, (e, i, _) in enumerate(relations, n.size):
+            keys[:, j] = table[rows[:, e], rows[:, n.size + i]]
+        keys <<= shift
+        keys |= n_values
+        # sorted keys: an m-value with two n-values shows as equal
+        # neighbouring m-values with different keys
+        keys.sort(axis=1)
+        differ = keys[:, 1:] != keys[:, :-1]
+        keys >>= shift
+        tied = keys[:, 1:] == keys[:, :-1]
+        functional = ~(tied & differ).any(axis=1)
         lower = len(n_values) - tied.sum(axis=1)
-        yield tuples[functional].tolist(), lower[functional].tolist()
+        yield tuples[functional], lower[functional]
 
 
 def divides(n_om: OrderedMonoid, m_om: OrderedMonoid):
@@ -925,18 +919,19 @@ def divides(n_om: OrderedMonoid, m_om: OrderedMonoid):
       there is a copy, the answer is the least one, and its map m(u_e) ->
       e is the certificate's, read off the copy search's values.
     * Closure, for closures larger than n only.  Otherwise the product of
-      the candidate lists is screened in blocks (``_screened_blocks``): a
-      tuple is dropped when two words of length <= 3 over n's generators
-      agree in m but differ in n, or when the number of distinct m-values
-      of those words, a lower bound on its closure size, exceeds the best
+      the candidate lists is screened in blocks (``_screened_blocks``) by
+      the words of n's Cayley graph, the least word u_e of each element e
+      and u_e a for each relation: a tuple is dropped when two of them
+      agree in m but differ in n, or when the number of their distinct
+      m-values, a lower bound on its closure size, exceeds the best
       closure found so far.  Survivors are closed with ``division_map`` in
       ascending lower-bound order, and a closure stops once it grows past
       the best one.  The answer is no when none is a division map.
 
     For k generators the copy search and the screen each walk up to |M|^k
-    tuples: the screen with O(k^3) table lookups per tuple, the copy
-    search dropping most tuples at the first relation.  A closure costs
-    O(|M| k) steps plus an O(|M|^2) order check.
+    tuples: the screen with one table lookup per edge of n's Cayley graph,
+    |n| k per tuple, the copy search dropping most tuples at the first
+    relation.  A closure costs O(|M| k) steps plus an O(|M|^2) order check.
 
     Returns (bool, certificate) where the certificate is (preimages in the
     order of n's generators, element map, submonoid elements) for the
@@ -949,8 +944,8 @@ def divides(n_om: OrderedMonoid, m_om: OrderedMonoid):
     search would then miss every division.
     """
     n_m, m_m = n_om.monoid, m_om.monoid
-    _, _, _, generated = n_m.divisor_words
-    if not generated:
+    tree, _ = n_m.cayley
+    if len(tree) != n_m.size - 1:
         raise CcError("the generators of the divisor do not generate it")
     if m_m.in_ds and not n_m.in_ds:
         return False, None
@@ -962,11 +957,11 @@ def divides(n_om: OrderedMonoid, m_om: OrderedMonoid):
         return True, (preimages, image, frozenset(image))
     best = None
     for tuples, lower in _screened_blocks(m_m, n_m, candidates):
-        for row in sorted(range(len(tuples)), key=lower.__getitem__):
+        for row in np.argsort(lower, kind="stable"):
             limit = None if best is None else best[0][0]
             if limit is not None and lower[row] > limit:
                 break
-            preimages = tuple(tuples[row])
+            preimages = tuple(tuples[row].tolist())
             image = division_map(n_om, m_om, preimages, limit=limit)
             if image is not None:
                 key = (len(image), sorted(image), preimages)

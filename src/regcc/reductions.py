@@ -292,10 +292,17 @@ def _replayer(reduction):
     """Replayed rows at n = 1, 2, ...: one "0"/"1" string per row, the
     reduction's decision at each column, every cell filled.  Rows and
     columns are indexed as ``builtin_function`` labels them, by the n-bit
-    numeral.  A position reduction is read off its closed form; a local
-    or append-ones reduction is a bit-pair automaton, folded."""
+    numeral.  Every reduction is a bit-pair automaton, folded."""
     if isinstance(reduction, PositionReduction):
-        return _position_levels(reduction)
+        # every slot but the two planted ones holds the identity, so the
+        # instance acts as ``a b`` when x <= y (at a shared position
+        # Alice's slot comes first) and as ``b a`` otherwise: a verdict
+        # on LT's states, 0 for x = y, 1 for x < y and 2 for x > y
+        target = reduction.target
+        ab, ba = (target.action(pair)[target.start] in target.accepting
+                  for pair in ((reduction.a, reduction.b), (reduction.b, reduction.a)))
+        _, maps, _ = _automaton("LT", None, None)
+        return _fold_levels(0, maps, _verdict(reduction, (ab, ab, ba)))
     if isinstance(reduction, AppendOnesReduction):
         # the instance of (x, y) takes IP_q's value at (x, y)
         _, maps, cells = _automaton("IP", reduction.q, None)
@@ -337,23 +344,6 @@ def _local_levels(r: LocalReduction):
                          for y in (0, 1)) for x in (0, 1))
     suffix = target.action(_interleaved(r.alice_suffix, r.bob_suffix))
     return _fold_levels(start, blocks, _verdict(r, (s in target.accepting for s in suffix)))
-
-
-def _position_levels(r: PositionReduction):
-    """Replayed rows of a ``PositionReduction`` at n = 1, 2, ....
-
-    Every slot but the two planted ones holds the identity, so the
-    instance of (x, y) acts as ``a`` then ``b`` when x <= y (at a shared
-    position Alice's slot comes first), and as ``b`` then ``a`` otherwise:
-    row x is the verdict of ``b a`` on its first x columns and that of
-    ``a b`` on the rest.
-    """
-    target = r.target
-    v_ab, v_ba = _verdict(r, (target.action(pair)[target.start] in target.accepting
-                              for pair in ((r.a, r.b), (r.b, r.a))))
-    for n in itertools.count(1):
-        t = 1 << n
-        yield [v_ba * x + v_ab * (t - x) for x in range(t)]
 
 
 # ---------------------------------------------------------------------------

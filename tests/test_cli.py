@@ -85,6 +85,23 @@ def test_classify_pinned(capsys, tmp_path):
         "3c24bc774fabe463d8e547a18740169b32608501acf2f8ea7aadc76de6b28960"
 
 
+def test_classify_pinned_closure_exit(capsys, tmp_path):
+    # |M| = 28: BA2+ is refuted only after its screened tuples are closed,
+    # and U+ divides through a 7-element closure, not a copy
+    path = tmp_path / "closure.dfa"
+    path.write_text("alphabet: a,b\nstates: 5\ninitial: 0\naccepting: 3,4\n"
+                    "transitions:\na: 4,4,1,4,3\nb: 3,2,3,2,0\n")
+    code, out, _ = run(capsys, "classify", str(path))
+    assert code == 0
+    assert out == (
+        "tier: LINEAR_LOWER\n"
+        "certificate: noncommuting_pair a=a b=b direction=ba_nleq_ab replay=ok\n"
+        "certificate: divides_u_plus generators=('baab', 'aa') submonoid_size=7 replay=ok\n"
+        "certificate: shuffle u=ab v=ba w1=a w2=b replay=ok\n"
+        "certificate: polcom_exclusion u=ab v=ba replay=ok\n"
+        "bound: max_witness_len=6\n")
+
+
 def test_classify_l5(capsys, l5_file):
     code, out, _ = run(capsys, "classify", l5_file)
     assert code == 0

@@ -14,9 +14,10 @@ divisor, and the witnesses by scans over every word
 (and every interleaving) up to the length bound.  Most are exponential or
 cubic, so the random inputs are small and seeded.  Beyond the exhaustive
 oracle's reach, division is checked against the unscreened search: one
-closure per tuple of candidate preimages, in product order.  Membership
-in DS, which refutes division by BA2+ and U+, is checked against the
-identity evaluated term by term.
+closure per tuple of candidate preimages, in product order, and the
+closure exit's screen against the divisor's Cayley words evaluated letter
+by letter.  Membership in DS, which refutes division by BA2+ and U+, is
+checked against the identity evaluated term by term.
 """
 
 import itertools
@@ -261,8 +262,8 @@ def relabeled(om, rng):
 
 Z2 = OrderedMonoid(FiniteMonoid(2, 0, ((0, 1), (1, 0)), ("", "g"), (("g", 1),)),
                    StableOrder.equality(2))
-# g^3 is a word as long as the screen's longest, and division by Z4 still
-# takes the copy search, which follows Z4's Cayley tree to any depth
+# Z4's least words run to g^3, and division by Z4 takes the copy search,
+# which follows Z4's Cayley tree to any depth
 Z4 = OrderedMonoid(
     FiniteMonoid(4, 0, tuple(tuple((i + j) % 4 for j in range(4)) for i in range(4)),
                  ("", "g", "gg", "ggg"), (("g", 1),)),
@@ -629,14 +630,14 @@ def test_divides_matches_product_oracle_beyond_twelve():
 def test_divides_matches_product_oracle_in_small_blocks(monkeypatch, block):
     # tiny blocks carry the best closure and its lower-bound cut, and the
     # least copy, across many blocks of the |M| <= 12 cases
-    monkeypatch.setattr(monoid, "_SCREEN_BLOCK", block)
-    monkeypatch.setattr(monoid, "_COPY_BLOCK", block)
+    monkeypatch.setattr(monoid, "_block_tuples", lambda width: block)
     for n_om, m_om in division_cases():
         assert divides(n_om, m_om) == product_divides(n_om, m_om)
 
 
 # two constant maps and the swap of two states, one generator each: the
-# screen evaluates 40 words per tuple of three preimages
+# screen evaluates the 13 words of its Cayley graph, 4 least words and 9
+# relations, per tuple of three preimages
 THREE_GENERATORS, _, _ = syntactic_ordered_monoid(
     Dfa.make("abc", 2, 0, {0}, {"a": [0, 0], "b": [1, 1], "c": [1, 0]}))
 
@@ -654,6 +655,57 @@ def test_divides_three_generator_divisor():
     assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
 
 
+def cayley_words(n):
+    """The least word of each element of n, found by a shortlex scan of
+    every word, and each least word followed by one more letter."""
+    letters = [a for a, _ in n.generators]
+    least = {}
+    for length in itertools.count():
+        for word in map("".join, itertools.product(letters, repeat=length)):
+            least.setdefault(eval_word(n, word), word)
+        if len(least) == n.size:
+            return sorted({u + a for u in least.values() for a in [""] + letters})
+
+
+def screened_tuples(n_om, m_om):
+    """(preimages, count of distinct m-values) in product order for the
+    tuples on which no two of n's Cayley words agree in m but differ in
+    n, each word evaluated letter by letter."""
+    n, m = n_om.monoid, m_om.monoid
+    letters = [a for a, _ in n.generators]
+    words = [(w, eval_word(n, w)) for w in cayley_words(n)]
+    for preimages in itertools.product(*candidate_lists(n_om, m_om)):
+        assignment = dict(zip(letters, preimages))
+        image = {}
+        if all(image.setdefault(eval_word(m, w, assignment), v) == v for w, v in words):
+            yield preimages, len(image)
+
+
+def test_cayley_screen_keeps_every_division():
+    # the screen is the direct evaluation of n's Cayley words, and it is
+    # sound: every tuple whose closure is a division map survives it, with
+    # a count of distinct m-values at most that closure's size
+    divisors = [builtin_monoid(name)[0] for name in ("BA2_PLUS", "U_PLUS")]
+    divisors += [Z2, Z4, THREE_GENERATORS]
+    dropped = divisions = larger = 0
+    for m_om in random_monoids(31, 200, (6, 40)):
+        for n_om in divisors:
+            candidates = candidate_lists(n_om, m_om)
+            screened = [(tuple(t), bound) for tuples, lower
+                        in monoid._screened_blocks(m_om.monoid, n_om.monoid, candidates)
+                        for t, bound in zip(tuples.tolist(), lower.tolist())]
+            assert screened == list(screened_tuples(n_om, m_om)), (n_om.size, m_om.size)
+            bounds = dict(screened)
+            dropped += math.prod(map(len, candidates)) - len(bounds)
+            for preimages in itertools.product(*candidates):
+                image = division_map(n_om, m_om, preimages)
+                if image is not None:
+                    assert bounds[preimages] <= len(image)
+                    divisions += 1
+                    larger += len(image) > n_om.size
+    assert dropped >= 10000 and divisions >= 1000 and larger >= 100, (dropped, divisions, larger)
+
+
 def test_divides_generator_without_candidates():
     # Z2 x U1: g generates the group part, h is the idempotent zero of U1;
     # in the group Z2 only g has a candidate preimage
@@ -667,16 +719,18 @@ def test_divides_generator_without_candidates():
     assert divides(z2_u1, Z2) == (False, None)
 
 
-def test_divides_across_blocks():
+def test_divides_across_blocks(monkeypatch):
+    block = 2048
+    monkeypatch.setattr(monoid, "_block_tuples", lambda width: block)
     u_plus, _ = builtin_monoid("U_PLUS")
     multi_block = later_block = 0
     for m_om in random_monoids(20261019, 150, (100, 200)):
-        if math.prod(map(len, candidate_lists(u_plus, m_om))) <= monoid._SCREEN_BLOCK:
+        if math.prod(map(len, candidate_lists(u_plus, m_om))) <= block:
             continue
         multi_block += 1
         got = divides(u_plus, m_om)
         assert got == product_divides(u_plus, m_om), m_om.size
-        if got[0] and product_rank(u_plus, m_om, got[1][0]) >= monoid._SCREEN_BLOCK:
+        if got[0] and product_rank(u_plus, m_om, got[1][0]) >= block:
             later_block += 1
     assert multi_block >= 5 and later_block >= 1
 
