@@ -872,15 +872,16 @@ def _screened_blocks(m: FiniteMonoid, n: FiniteMonoid, candidates):
     relation word from one gather.
     """
     tree, relations = n.cayley
-    n_values = np.array(list(range(n.size)) + [f for _, _, f in relations])
-    # an (m-value, n-value) key is m << shift | n, an int64 taking two
-    # entries
+    # an (m-value, n-value) key is m << shift | n, below 2|m||n| <=
+    # |m|^2 + |n|^2, so it fits an int32 unless the two multiplication
+    # tables hold 2^31 entries between them
     shift = (n.size - 1).bit_length()
-    width = n.size + len(candidates) + 2 * len(n_values)
+    n_values = np.array(list(range(n.size)) + [f for _, _, f in relations], dtype=np.int32)
+    width = n.size + len(candidates) + len(n_values)
     table = m.table_array
     for tuples in _product_blocks(candidates, _block_tuples(width)):
         rows = _related(m, n, tuples, tree, ())
-        keys = np.empty((len(rows), len(n_values)), dtype=np.int64)
+        keys = np.empty((len(rows), len(n_values)), dtype=np.int32)
         keys[:, :n.size] = rows[:, :n.size]
         for j, (e, i, _) in enumerate(relations, n.size):
             keys[:, j] = table[rows[:, e], rows[:, n.size + i]]
