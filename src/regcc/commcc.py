@@ -651,28 +651,89 @@ def _set_cover_exact(universe, candidates, budget, floor):
     return best_count, best_sel
 
 
-def _rank_q(mat) -> int:
-    """Exact rank over the rationals of an integer matrix, by fraction-free
-    (Bareiss) elimination: every entry stays an integer minor of ``mat``
-    and each division by the previous pivot is exact."""
-    m = [list(row) for row in mat]
-    rows = len(m)
-    r = 0
-    prev = 1
-    for c in range(len(m[0]) if m else 0):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot is None:
+@functools.cache
+def _field_bits(k):
+    """Bits of a signed field that holds any 2H^2, H the Hadamard bound
+    (k + 1)^((k + 1) / 2) / 2^k on a minor of a 0/1 matrix with k rows or
+    columns, rounded up to whole hex digits.  H^2 is taken in integers:
+    a float overflows from k = 143."""
+    hh = -(-(k + 1) ** (k + 1) // 4 ** k)
+    return -(-((2 * hh).bit_length() + 1) // 4) * 4
+
+
+@functools.cache
+def _spread(b):
+    """A translation of binary digits into hex digits that puts bit j of
+    a mask at the bottom of a b-bit field j."""
+    return str.maketrans({"0": "0" * (b // 4), "1": "0" * (b // 4 - 1) + "1"})
+
+
+def _rank_rows(rows, width) -> int:
+    """Exact rank over Q of the 0/1 matrix whose rows are the bit masks
+    ``rows`` over ``width`` columns, by fraction-free (Bareiss)
+    elimination on packed rows.
+
+    Each row is one int of signed ``_field_bits`` fields, column j in
+    field j.  Every entry of an eliminated row is a minor, at most H in
+    size, and every p*x - a*top at most 2H^2, so no field carries
+    into the next: a row operation on whole ints is that operation on
+    every field, and its division by the previous pivot is exact because
+    it is exact in every field.  Live rows are zero in every field below
+    the column eliminated next, so a field is nonzero exactly when its
+    bits are, and shifting it down reads it whole."""
+    k = min(len(rows), width)
+    if not k:
+        return 0
+    b = _field_bits(k)
+    spread = _spread(b)
+    live = [int(format(m, "b").translate(spread), 16) for m in rows if m]
+    field, half = (1 << b) - 1, 1 << (b - 1)
+    prev, rank = 1, 0
+    for shift in range(0, b * width, b):
+        cell = field << shift
+        for i, top in enumerate(live):
+            if top & cell:
+                break
+        else:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        p = m[r][c]
-        for i in range(r + 1, rows):
-            a = m[i][c]
-            m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], m[r])]
-        prev = p
-        r += 1
-        if r == rows:
+        del live[i]
+        p = ((top >> shift & field) ^ half) - half
+        out = []
+        for x in live:
+            if x & cell:
+                x = (p * x - (((x >> shift & field) ^ half) - half) * top) // prev
+            else:
+                x = p * x // prev
+            if x:
+                out.append(x)
+        live, prev = out, p
+        rank += 1
+        if not live:
             break
-    return r
+    return rank
+
+
+def _gf3_rank(rows) -> int:
+    """Rank over GF(3) of the 0/1 matrix whose rows are the bit masks
+    ``rows``: a lower bound on the rank over Q.  A vector is bit-sliced
+    into the masks (x1, x2) of its coordinates equal to 1 and to 2; the
+    sum of x and y is (x2|y2)^t, (x1|y1)^t with t = (x1|y2)^(x2|y1), and
+    swapping the masks negates.  Pivots are keyed by their top coordinate,
+    normalised to 1 there."""
+    pivots = {}
+    for x1 in rows:
+        x2 = 0
+        while x1 | x2:
+            top = (x1 | x2).bit_length()
+            got = pivots.get(top)
+            if got is None:
+                pivots[top] = (x2, x1) if x2 >> (top - 1) else (x1, x2)
+                break
+            # a 1 on top takes the pivot away, a 2 adds it
+            y1, y2 = got if x2 >> (top - 1) else got[::-1]
+            t = (x1 | y2) ^ (x2 | y1)
+            x1, x2 = (x2 | y2) ^ t, (x1 | y1) ^ t
+    return len(pivots)
 
 
 # primes above every minor of a 0/1 matrix with at most k rows: Hadamard's
@@ -804,7 +865,7 @@ class _Partitions:
                 self.work.append(_Budget("partition"))
                 self.work[z].charge((1 << len(extra)) * nr * nc)
                 ranks = _completion_ranks(z_cells[z], extra, nr, nc)
-                self.ranks[z_cells[z]] = [int(ranks[0]), True]
+                self.ranks[z_cells[z]] = [int(ranks[0]), 0]
                 bounds = np.maximum(ranks, fooling[z])
             else:
                 self.work.append(_Budget("optional partition"))
@@ -835,28 +896,32 @@ class _Partitions:
 
     def _rank_above(self, z, mask, budget):
         """Whether the cells ``mask`` of color z have rank over Q above
-        ``budget``.  A mask's first look-up takes its rank over GF(2), a
-        lower bound from XORs of row masks that settles most pruned nodes;
-        the exact rank follows only when that one fits.  Both are cached.
-        _rank_q, not _batch_ranks, gives the exact rank: on one random 0/1
-        matrix numpy's per-step overhead made _batch_ranks 5.6x slower at
-        4x4, 2.6x at 8x8, 1.5x at 12x12 and no faster at 16x16 (CPython
-        3.11, numpy 2.4, x86-64)."""
+        ``budget``.  A mask's first look-up takes its rank over GF(2), from
+        XORs of row masks; while the bound in hand fits the budget, the
+        rank over GF(3) and then the exact rank replace it.  The two field
+        ranks are lower bounds that settle most pruned nodes, so a node is
+        pruned exactly when its rank over Q exceeds the budget.  Each
+        mask's best bound is cached with its field's characteristic (0 for
+        Q)."""
         got = self.ranks.get(mask)
+        nc = self.nc
+        row = (1 << nc) - 1
         if got is None:
-            nr, nc = self.nr, self.nc
-            self.work[z].charge(nr * nc)
-            row, pivots = (1 << nc) - 1, {}
-            for i in range(nr):
+            self.work[z].charge(self.nr * nc)
+            pivots = {}
+            for i in range(self.nr):
                 bits = mask >> (i * nc) & row
                 while bits and bits.bit_length() in pivots:
                     bits ^= pivots[bits.bit_length()]
                 if bits:
                     pivots[bits.bit_length()] = bits
-            got = self.ranks[mask] = [len(pivots), False]
-        if got[0] <= budget and not got[1]:
-            got[:] = _rank_q([[mask >> (i * self.nc + j) & 1 for j in range(self.nc)]
-                              for i in range(self.nr)]), True
+            got = self.ranks[mask] = [len(pivots), 2]
+        if got[0] <= budget and got[1]:
+            rows = [mask >> (i * nc) & row for i in range(self.nr)]
+            if got[1] == 2:
+                got[:] = _gf3_rank(rows), 3
+            if got[0] <= budget:
+                got[:] = _rank_rows(rows, nc), 0
         return got[0] > budget
 
     def _exact(self, z, left, budget, acc):
@@ -1040,8 +1105,7 @@ def _rank_tight_leaves(row_groups, col_groups, masks):
     except CapError:
         return None
     nc = len(col_groups)
-    ranks = sum(_rank_q([[m >> c & 1 for c in range(nc)] for m in masks[z]])
-                for z in (0, 1))
+    ranks = sum(_rank_rows(masks[z], nc) for z in (0, 1))
     return leaves if len(leaves) == ranks else None
 
 
@@ -1236,6 +1300,7 @@ def _protocol_tree(row_groups, col_groups, masks):
     memo = {}  # canonical content -> [depth or lower bound, exact]
     by_rect = {}  # rows mask << nc | cols mask -> its memo entry
     no_limit = 10 ** 9
+    row = (1 << nc) - 1
 
     def canon(row_idx, col_idx):
         rows = tuple(sorted({tuple(base[i][j] for j in col_idx) for i in row_idx}))
@@ -1265,7 +1330,7 @@ def _protocol_tree(row_groups, col_groups, masks):
                                                  no_limit).bit_count() for z in (0, 1))
         else:
             budget.charge(4 * r * c * min(r, c))
-            leaves = sum(_rank_q([[base[i][j] == z for j in col_idx] for i in row_idx])
+            leaves = sum(_rank_rows([(rect & cells[z]) >> i * nc & row for i in row_idx], nc)
                          for z in (0, 1))
         lb = max(1, _log2ceil(leaves))
         if lb >= limit:

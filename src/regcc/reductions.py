@@ -24,7 +24,7 @@ from .classify import (
     is_shuffle_witness,
 )
 from .commcc import (
-    MATERIALIZE_CAP, UNDEF, CommFunction, _Budget, _automaton, _fold,
+    MATERIALIZE_CAP, UNDEF, WORK_CAP, CommFunction, _Budget, _automaton, _fold,
     builtin_function,
 )
 from .monoid import (
@@ -473,7 +473,12 @@ def _entry_text(reduction, entry) -> str:
 
 def serialize_reduction(reduction) -> str:
     """Descriptor document: name, source, target, polarity, then the block
-    matrix as slash-separated padded words plus prefix/suffix rows."""
+    matrix as slash-separated padded words plus prefix/suffix rows.  An
+    append-ones reduction spells its q ones, so one with q past WORK_CAP
+    raises CapError before any line is built."""
+    if isinstance(reduction, AppendOnesReduction) and reduction.q > WORK_CAP:
+        raise CapError("descriptor of %s would spell q = %d appended ones, past the cap of %d"
+                       % (reduction.name, reduction.q, WORK_CAP))
     lines = ["name: %s" % reduction.name]
     source = reduction.source_name
     if getattr(reduction, "source_q", None) is not None:

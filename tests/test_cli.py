@@ -139,6 +139,18 @@ def test_cc_fooling(capsys):
     assert "size: 4" in out
 
 
+@pytest.mark.parametrize("command, line, digest", [
+    ("disjoint", "count: 13", "77e29692cbf404304b923b142b8c1cf57b7faf9d9b43196f5bc38d03017d31c9"),
+    ("exact", "bits: 4", "c457efc973541976d25660c32d656b1b0d08c125b3f5e17382079d1a2fecb54e"),
+])
+def test_cc_pdisj_pinned(capsys, command, line, digest):
+    # the PDISJ n = 3 documents of the CI steps, byte for byte
+    code, out, _ = run(capsys, "cc", command, "PDISJ", "--n", "3")
+    assert code == 0
+    assert line in out.splitlines()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_cc_ip_requires_q(capsys):
     code, _, err = run(capsys, "cc", "exact", "IP", "--n", "2")
     assert code == 1

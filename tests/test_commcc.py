@@ -22,8 +22,8 @@ from regcc.commcc import (
 )
 from regcc.commcc import (
     _batch_ranks, _cells, _closed_rectangles, _completion_ranks, _concepts,
-    _cover_floor, _crown_floor, _greedy_blocked_fooling, _mask_to_indices,
-    _merged, _rank_q, _split_tables, _undominated,
+    _cover_floor, _crown_floor, _gf3_rank, _greedy_blocked_fooling,
+    _mask_to_indices, _merged, _Partitions, _rank_rows, _split_tables, _undominated,
 )
 from regcc.monoid import (
     FiniteMonoid, OrderedMonoid, ideal_generated, syntactic_ordered_monoid,
@@ -851,7 +851,7 @@ def test_min_disjoint_cover_deepens_past_the_rank_bound(monkeypatch):
                      tuple("c%d" % j for j in range(6)), rows)
     # the 1-cells have rank 5 but no partition into 5 rectangles, so the
     # search deepens once; the 0-cells take 5
-    assert _rank_q([[int(c) for c in row] for row in rows]) == 5
+    assert _rank_rows([int(row, 2) for row in rows], 6) == 5
     count, cover = min_disjoint_cover(f)
     validate_disjoint_cover(f, cover)
     assert count == 11
@@ -1054,8 +1054,8 @@ def test_completion_ranks_match_the_exact_rank(rows):
     ranks = _completion_ranks(ones, extra, nr, nc)
     for subset in range(1 << len(extra)):
         mask = ones | sum(1 << extra[k] for k in _mask_to_indices(subset))
-        mat = [[mask >> (i * nc + j) & 1 for j in range(nc)] for i in range(nr)]
-        assert ranks[subset] == _rank_q(mat)
+        assert ranks[subset] == _rank_rows([mask >> (i * nc) & ((1 << nc) - 1)
+                                            for i in range(nr)], nc)
 
 
 def test_partition_search_work_cap(monkeypatch):
@@ -1159,7 +1159,111 @@ def test_closed_rectangles_match_oracle(rows):
 @given(matrices("01", 16, 16))
 def test_rank_matches_fraction_elimination(rows):
     mat = [[int(ch) for ch in row] for row in rows]
-    assert _rank_q(mat) == _batch_ranks(np.array([mat]))[0] == fraction_rank(mat)
+    assert _rank_rows([int(row[::-1], 2) for row in rows], len(rows[0])) == \
+        _batch_ranks(np.array([mat]))[0] == fraction_rank(mat)
+
+
+def random_rank_rows(rng, r, c):
+    """r seeded random row masks over c columns at a random density; some
+    rows repeat an earlier row or are the sum of two disjoint earlier
+    ones, so that ranks below min(r, c) occur."""
+    density = rng.choice((0.15, 0.5, 0.85))
+    rows = []
+    for _ in range(r):
+        if rows and rng.random() < 0.3:
+            a, b = rng.choice(rows), rng.choice(rows)
+            rows.append(a if a & b else a | b)
+        else:
+            rows.append(sum(1 << j for j in range(c) if rng.random() < density))
+    return rows
+
+
+def as_matrix(rows, c):
+    return [[m >> j & 1 for j in range(c)] for m in rows]
+
+
+def test_rank_rows_matches_fraction_rank():
+    # every shape up to 16 x 16, then shapes whose minors need wider fields
+    rng = random.Random(31)
+    shapes = [(r, c) for r in range(1, 17) for c in range(1, 17)]
+    for r, c in shapes + [(24, 24), (40, 40), (64, 3), (3, 64)]:
+        for _ in range(3 if r * c <= 256 else 1):
+            rows = random_rank_rows(rng, r, c)
+            assert _rank_rows(rows, c) == fraction_rank(as_matrix(rows, c)), (r, c, rows)
+    # zero rows and the empty matrix
+    assert _rank_rows([], 0) == _rank_rows([], 5) == _rank_rows([0, 0], 0) == 0
+    assert _rank_rows([0, 0, 0], 4) == 0
+    assert _rank_rows([0, 0b101, 0, 0b101, 0b010], 3) == 2
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_rank_rows_meets_the_hadamard_bound(m):
+    # the 0/1 S-matrix of order n = 2^m - 1, entry (i, j) the parity of
+    # i & j, has |det| = (n + 1)^((n + 1) / 2) / 2^n, the bound the fields
+    # are sized by; its rows are independent, and repeating one adds none
+    n = (1 << m) - 1
+    rows = [sum((i & j).bit_count() % 2 << (j - 1) for j in range(1, n + 1))
+            for i in range(1, n + 1)]
+    assert _rank_rows(rows, n) == n
+    assert _rank_rows(rows + rows[:1], n) == n
+    assert _rank_rows(rows[:-1] + [rows[0]], n) == n - 1
+
+
+def gf3_rank(mat):
+    """Oracle: rank over GF(3) by Gaussian elimination on lists."""
+    m = [[v % 3 for v in row] for row in mat]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][c]  # 1 and 2 are their own inverses mod 3
+        m[r] = [x * inv % 3 for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                m[i] = [(x - m[i][c] * y) % 3 for x, y in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def test_gf3_rank_matches_elimination_mod_3():
+    rng = random.Random(3)
+    for r in range(1, 11):
+        for c in range(1, 11):
+            for _ in range(4):
+                rows = random_rank_rows(rng, r, c)
+                got = _gf3_rank(rows)
+                assert got == gf3_rank(as_matrix(rows, c)) <= _rank_rows(rows, c), (r, c, rows)
+    # J - I of order 4 has determinant -3: full rank over Q, not over GF(3)
+    rows = [0b1110, 0b1101, 0b1011, 0b0111]
+    assert _gf3_rank(rows) == 3 < _rank_rows(rows, 4) == 4
+    assert _gf3_rank([]) == _gf3_rank([0, 0]) == 0
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_rank_above_decides_by_the_rank_over_q(nr, nc, data):
+    # whichever bound settles a look-up (GF(2), GF(3) or the exact rank),
+    # and whatever budgets came before, a cell set is above its budget
+    # exactly when its rank over Q is
+    search = _Partitions([], [0, 0], 0, [0, 0], nr, nc)
+    masks = data.draw(st.lists(st.integers(0, (1 << (nr * nc)) - 1), min_size=1, max_size=4))
+    for _ in range(10):
+        mask, budget = data.draw(st.sampled_from(masks)), data.draw(st.integers(0, 5))
+        rows = [mask >> (i * nc) & ((1 << nc) - 1) for i in range(nr)]
+        assert search._rank_above(0, mask, budget) == (fraction_rank(as_matrix(rows, nc)) > budget)
+
+
+def test_rank_above_takes_the_exact_rank_past_both_fields():
+    # a 3 x 3 block of determinant 2 beside J - I of order 4: determinant
+    # 6, so rank 7 over Q but 6 over GF(2) and over GF(3)
+    rows = [0b011, 0b110, 0b101] + [m << 3 for m in (0b1110, 0b1101, 0b1011, 0b0111)]
+    assert (_rank_rows(rows, 7), _gf3_rank(rows)) == (7, 6)
+    mask = sum(m << (7 * i) for i, m in enumerate(rows))
+    search = _Partitions([], [0, 0], 0, [0, 0], 7, 7)
+    assert [search._rank_above(0, mask, budget) for budget in (5, 6, 7, 6)] == \
+        [True, True, False, True]
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
@@ -1441,7 +1545,8 @@ def reference_protocol_tree(row_groups, col_groups, masks):
             leaves = sum(map(len, greedy_fooling(masks, row_idx, cols)))
         else:
             budget.charge(4 * r * c * min(r, c))
-            leaves = sum(commcc._rank_q([[base[i][j] == z for j in col_idx] for i in row_idx])
+            leaves = sum(fraction_rank([[int(base[i][j] == z) for j in col_idx]
+                                        for i in row_idx])
                          for z in (0, 1))
         lb = max(1, commcc._log2ceil(leaves))
         if lb >= limit:
@@ -1586,6 +1691,27 @@ def test_depth_search_units_are_pinned(name, n, kwargs, units):
     assert want[1] == units
 
 
+@pytest.mark.parametrize("name, n, kwargs, parts, units", [
+    ("PDISJ", 3, {}, 13, (66_992, 620_304)),
+    ("IP", 3, {"q": 3}, 13, (986, 36_894)),
+])
+def test_partition_search_units_are_pinned(name, n, kwargs, parts, units):
+    # each color's meter, as spent when every uncached look-up took the
+    # exact rank after GF(2): the GF(3) bound between them prunes a node
+    # only when the rank over Q does, so the search walks the same nodes
+    budgets = []
+
+    class Recorded(commcc._Budget):
+        def __init__(self, *a, **k):
+            super().__init__(*a, **k)
+            budgets.append(self)
+
+    with mock.patch.object(commcc, "_Budget", Recorded):
+        count, cover = min_disjoint_cover(builtin_function(name, n, **kwargs))
+    assert count == parts
+    assert tuple(b.spent for b in budgets if b.search.endswith("partition")) == units
+
+
 @pytest.mark.parametrize("name, kwargs", [
     ("PDISJ", {}), ("PIP2", {"variant": "ZERO_SIDED"}), ("DISJ", {}),
 ])
@@ -1628,7 +1754,7 @@ def test_depth_search_charges_the_root_before_reading_a_cell(monkeypatch):
 def rank_depth_bound(rows):
     """max(1, log2 of rank(1-cells) + rank(0-cells)) on a non-constant total
     matrix: its protocol tree has at least that many leaves."""
-    leaves = sum(_rank_q([[int(ch == z) for ch in row] for row in rows]) for z in "01")
+    leaves = sum(fraction_rank([[int(ch == z) for ch in row] for row in rows]) for z in "01")
     return max(1, log2ceil(leaves))
 
 

@@ -242,6 +242,24 @@ def test_reduction_descriptor_serialization():
         assert text.splitlines()[:2] == ["name: %s" % name, "source: IP_3"]
 
 
+def test_append_ones_descriptor_past_the_cap_is_refused(capsys):
+    from regcc.cli import main
+    from regcc.reductions import serialize_reduction
+    # a q past WORK_CAP is refused before its ones are spelled; at the cap
+    # the document is the one it always was
+    cap = commcc.WORK_CAP
+    text = serialize_reduction(builtin_reduction("pdisj_to_ipq", q=cap))
+    assert text.endswith("length: n+%d\nappend: %s\n" % (cap, "1" * cap))
+    with pytest.raises(CapError, match=r"q = %d appended ones, past the cap of %d" % (cap + 1, cap)):
+        serialize_reduction(builtin_reduction("pdisj_to_ipq", q=cap + 1))
+    # through the CLI, q = 10^9 verifies and then prints one short error
+    # line instead of a 1 GB document
+    code = main(["reduce", "verify", "pdisj_to_ipq", "--q", "1000000000", "--n-max", "3"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == ("error: descriptor of pdisj_to_ipq would spell q = 1000000000 appended "
+                   "ones, past the cap of %d\n" % cap)
+
 
 # --- the fold against the per-pair replay ------------------------------------------
 
